@@ -98,6 +98,11 @@ if [[ "$SMOKE_BENCH" == "1" ]]; then
   echo "bench smoke OK — records in $JSON_DIR:"
   ls -l "$JSON_DIR"
 
+  # End-to-end smoke of the encrypted pipeline: every workload answers a
+  # few queries, each checked against the plaintext reference.
+  echo "--- smoke: bench/e2e (end-to-end, answers checked) ---"
+  python3 bench/e2e/run.py --smoke
+
   # The committed baseline is a release snapshot: sanitized timings are
   # 10-50x slower and must never be gated (or baselined) against it.
   if [[ "$COMPARE_BENCH" == "1" && "$SEABED_SANITIZE" == "0" && -d bench/baseline ]]; then

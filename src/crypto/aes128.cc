@@ -128,6 +128,50 @@ void Aes128::EncryptBlockHardware(const uint8_t in[16], uint8_t out[16]) const {
   block = _mm_aesenclast_si128(block, _mm_loadu_si128(rk + 10));
   _mm_storeu_si128(reinterpret_cast<__m128i*>(out), block);
 }
+
+void Aes128::EncryptCountersHardware(const uint64_t* counters, size_t n,
+                                     uint64_t* out_words) const {
+  constexpr size_t kLanes = 8;
+  const __m128i* schedule = reinterpret_cast<const __m128i*>(round_keys_.data());
+  __m128i rk[11];
+  for (int round = 0; round <= 10; ++round) {
+    rk[round] = _mm_load_si128(schedule + round);
+  }
+  // Block k is counters[k] in its low 8 bytes and zeros above.
+  auto load = [&](size_t k) {
+    return _mm_xor_si128(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(counters + k)), rk[0]);
+  };
+  auto store = [&](size_t k, __m128i block) {
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_words + 2 * k), block);
+  };
+  size_t k = 0;
+  for (; k + kLanes <= n; k += kLanes) {
+    // Fully unrolled lanes keep b[] in registers; a lane loop the compiler
+    // leaves rolled would round-trip every block through the stack.
+    __m128i b[kLanes];
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      b[j] = load(k + j);
+    }
+    for (int round = 1; round < 10; ++round) {
+#pragma GCC unroll 8
+      for (size_t j = 0; j < kLanes; ++j) {
+        b[j] = _mm_aesenc_si128(b[j], rk[round]);
+      }
+    }
+#pragma GCC unroll 8
+    for (size_t j = 0; j < kLanes; ++j) {
+      store(k + j, _mm_aesenclast_si128(b[j], rk[10]));
+    }
+  }
+  for (; k < n; ++k) {
+    __m128i b = load(k);
+    for (int round = 1; round < 10; ++round) {
+      b = _mm_aesenc_si128(b, rk[round]);
+    }
+    store(k, _mm_aesenclast_si128(b, rk[10]));
+  }
+}
 #else
 void Aes128::EncryptBlockHardware(const uint8_t in[16], uint8_t out[16]) const {
   EncryptBlockPortable(in, out);
@@ -143,12 +187,23 @@ void Aes128::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
 }
 
 void Aes128::EncryptCounter(uint64_t counter, uint64_t out_words[2]) const {
-  uint8_t block[16] = {};
-  std::memcpy(block, &counter, 8);
-  uint8_t cipher[16];
-  EncryptBlock(block, cipher);
-  std::memcpy(&out_words[0], cipher, 8);
-  std::memcpy(&out_words[1], cipher + 8, 8);
+  EncryptCounters(&counter, 1, out_words);
+}
+
+void Aes128::EncryptCounters(const uint64_t* counters, size_t n, uint64_t* out_words) const {
+#if defined(SEABED_HAS_AESNI_BUILD)
+  if (use_hardware_) {
+    EncryptCountersHardware(counters, n, out_words);
+    return;
+  }
+#endif
+  for (size_t k = 0; k < n; ++k) {
+    uint8_t block[16] = {};
+    std::memcpy(block, &counters[k], 8);
+    uint8_t cipher[16];
+    EncryptBlockPortable(block, cipher);
+    std::memcpy(out_words + 2 * k, cipher, 16);
+  }
 }
 
 }  // namespace seabed

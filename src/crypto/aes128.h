@@ -15,6 +15,7 @@
 #define SEABED_SRC_CRYPTO_AES128_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace seabed {
@@ -41,6 +42,13 @@ class Aes128 {
   // batched PRF (one AES call yields two 64-bit pseudo-random words).
   void EncryptCounter(uint64_t counter, uint64_t out_words[2]) const;
 
+  // Batched EncryptCounter: out_words[2k], out_words[2k + 1] receive the
+  // words of counters[k] for k < n. The hardware path keeps 8 independent
+  // blocks in flight, so the AES-NI pipeline latency is paid once per 8
+  // blocks instead of once per block (the multi-block technique of Intel's
+  // AES-NI white paper). This is the kernel behind ASHE decryption.
+  void EncryptCounters(const uint64_t* counters, size_t n, uint64_t* out_words) const;
+
   // True when this instance uses the AES-NI hardware path.
   bool using_hardware() const { return use_hardware_; }
 
@@ -50,6 +58,7 @@ class Aes128 {
  private:
   void EncryptBlockPortable(const uint8_t in[16], uint8_t out[16]) const;
   void EncryptBlockHardware(const uint8_t in[16], uint8_t out[16]) const;
+  void EncryptCountersHardware(const uint64_t* counters, size_t n, uint64_t* out_words) const;
 
   // 11 round keys, 16 bytes each.
   alignas(16) std::array<uint8_t, 176> round_keys_{};

@@ -49,7 +49,9 @@ class Ashe {
   // Full ciphertext (group element + identifier multiset).
   AsheCiphertext Encrypt(uint64_t m, uint64_t id) const;
 
-  // Decrypts an aggregate: value + sum over runs of count * RangeDelta.
+  // Decrypts an aggregate: value + sum over runs of count * RangeDelta. The
+  // run endpoints are evaluated in batches (Prf::EvalBatch), so concurrent
+  // calls on one Ashe are safe.
   uint64_t Decrypt(const AsheCiphertext& ct) const;
 
   // Decrypts the group element of a single cell with known id.

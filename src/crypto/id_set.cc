@@ -78,27 +78,31 @@ void IdSet::UnionWith(const IdSet& other) {
   Normalize();
 }
 
-IdSet IdSet::MergeAll(const std::vector<IdSet>& parts) {
-  IdSet merged;
-  size_t total_runs = 0;
-  for (const IdSet& p : parts) {
-    total_runs += p.runs_.size();
-  }
-  merged.runs_.reserve(total_runs);
-  bool sorted_disjoint = true;
-  for (const IdSet& p : parts) {
-    if (p.runs_.empty()) {
-      continue;
+IdSet IdSet::FromRuns(std::vector<Run> runs) {
+  IdSet s;
+  s.runs_ = std::move(runs);
+  // Coalesce in place while the runs stay sorted and disjoint; the first
+  // overlap or inversion hands the whole vector to Normalize instead.
+  size_t kept = 0;
+  for (size_t i = 0; i < s.runs_.size(); ++i) {
+    const Run& r = s.runs_[i];
+    if (kept > 0) {
+      Run& back = s.runs_[kept - 1];
+      if (r.lo <= back.hi) {
+        // runs_[kept, i) were merged into runs_[0, kept) already.
+        s.runs_.erase(s.runs_.begin() + kept, s.runs_.begin() + i);
+        s.Normalize();
+        return s;
+      }
+      if (r.lo == back.hi + 1 && r.count == back.count) {
+        back.hi = r.hi;
+        continue;
+      }
     }
-    if (!merged.runs_.empty() && p.runs_.front().lo <= merged.runs_.back().hi) {
-      sorted_disjoint = false;
-    }
-    merged.runs_.insert(merged.runs_.end(), p.runs_.begin(), p.runs_.end());
+    s.runs_[kept++] = r;
   }
-  if (!sorted_disjoint) {
-    merged.Normalize();
-  }
-  return merged;
+  s.runs_.resize(kept);
+  return s;
 }
 
 uint64_t IdSet::TotalCount() const {

@@ -48,10 +48,11 @@ class IdSet {
   // Multiset union: *this = *this ∪ other. This is the S1 ∪ S2 of ⊕.
   void UnionWith(const IdSet& other);
 
-  // Multiset union of many sets with a single normalization pass. Much
-  // faster than repeated UnionWith when the inputs interleave (e.g. merging
-  // the per-suffix ID lists of an inflated group — Section 4.5).
-  static IdSet MergeAll(const std::vector<IdSet>& parts);
+  // The multiset union of `runs`, given in any order. Runs already sorted
+  // and disjoint take one linear coalescing pass; overlapping or unordered
+  // runs (e.g. the per-suffix ID lists of an inflated group, Section 4.5)
+  // take one normalization pass. Every run needs lo <= hi and count >= 1.
+  static IdSet FromRuns(std::vector<Run> runs);
 
   // Number of identifiers counting multiplicity.
   uint64_t TotalCount() const;
@@ -73,7 +74,6 @@ class IdSet {
   // Invariant: runs sorted by lo, non-overlapping, adjacent runs with equal
   // count are coalesced.
   std::vector<Run> runs_;
-  bool needs_normalize_ = false;
 
   void Normalize();
   friend class IdSetTestPeer;

@@ -23,4 +23,16 @@ uint64_t Prf::RangeDelta(uint64_t lo, uint64_t hi) const {
   return Eval(hi) - Eval(lo - 1);
 }
 
+void Prf::EvalBatch(const uint64_t* ids, size_t n, uint64_t* out) const {
+  SEABED_CHECK(n <= kMaxBatch);
+  uint64_t words[2 * kMaxBatch] = {};
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = ids[i] >> 1;  // the AES block holding F_k(ids[i])
+  }
+  aes_.EncryptCounters(out, n, words);
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = words[2 * i + (ids[i] & 1)];
+  }
+}
+
 }  // namespace seabed

@@ -10,6 +10,7 @@
 #ifndef SEABED_SRC_CRYPTO_PRF_H_
 #define SEABED_SRC_CRYPTO_PRF_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/crypto/aes128.h"
@@ -30,6 +31,14 @@ class Prf {
   // This is the telescoping trick that lets a contiguous range decrypt with
   // two PRF calls regardless of length. lo >= 1, lo <= hi.
   uint64_t RangeDelta(uint64_t lo, uint64_t hi) const;
+
+  // Largest batch EvalBatch accepts.
+  static constexpr size_t kMaxBatch = 128;
+
+  // out[i] = F_k(ids[i]) for i < n <= kMaxBatch, through one batched AES
+  // call (Aes128::EncryptCounters). Unlike Eval this touches no cache, so
+  // one Prf may serve concurrent callers. `out` must not alias `ids`.
+  void EvalBatch(const uint64_t* ids, size_t n, uint64_t* out) const;
 
   bool using_hardware() const { return aes_.using_hardware(); }
 

@@ -1,5 +1,8 @@
 #include "src/encoding/id_list_codec.h"
 
+#include <algorithm>
+#include <cstdint>
+
 #include "src/common/check.h"
 #include "src/encoding/varint.h"
 
@@ -115,7 +118,7 @@ Bytes IdListEncode(const IdSet& ids, const IdListOptions& options) {
   return out;
 }
 
-IdSet IdListDecode(const Bytes& bytes) {
+void IdListDecodeRuns(const Bytes& bytes, std::vector<IdSet::Run>& runs) {
   SEABED_CHECK(!bytes.empty());
   const uint8_t header = bytes[0];
   const bool use_range = header & kFlagRange;
@@ -125,44 +128,70 @@ IdSet IdListDecode(const Bytes& bytes) {
   const auto compression =
       static_cast<IdListCompression>((header >> kCompressionShift) & 3);
 
-  Bytes payload;
-  if (compression == IdListCompression::kNone) {
-    payload.assign(bytes.begin() + 1, bytes.end());
-  } else {
-    Bytes packed(bytes.begin() + 1, bytes.end());
-    payload = LzDecompress(packed);
+  const Bytes* payload = &bytes;
+  size_t cursor = 1;  // past the header
+  Bytes decompressed;
+  if (compression != IdListCompression::kNone) {
+    decompressed = LzDecompress(Bytes(bytes.begin() + 1, bytes.end()));
+    payload = &decompressed;
+    cursor = 0;
   }
 
-  IdSet ids;
-  size_t cursor = 0;
+  // Counts claimed by the payload are capped by its size before anything
+  // is allocated for them: an integer takes at least field_bytes.
+  const size_t field_bytes = vb ? 1 : 8;
   if (use_range) {
-    const uint64_t num_runs = GetInt(payload, &cursor, vb);
+    const uint64_t num_runs = GetInt(*payload, &cursor, vb);
+    const size_t run_bytes = (has_counts ? 3 : 2) * field_bytes;
+    SEABED_CHECK_MSG(num_runs <= (payload->size() - cursor) / run_bytes,
+                     "corrupt ID list: " << num_runs << " runs in " << payload->size()
+                                         << " bytes");
+    // Grow geometrically: an exact reserve per list would copy the whole
+    // vector again for every list appended to it.
+    if (runs.size() + num_runs > runs.capacity()) {
+      runs.reserve(std::max<size_t>(runs.size() + num_runs, 2 * runs.capacity()));
+    }
     uint64_t prev = 0;
     for (uint64_t r = 0; r < num_runs; ++r) {
-      const uint64_t lo_field = GetInt(payload, &cursor, vb);
+      const uint64_t lo_field = GetInt(*payload, &cursor, vb);
       const uint64_t lo = use_diff ? prev + lo_field : lo_field;
-      const uint64_t span = GetInt(payload, &cursor, vb);
-      const uint64_t hi = lo + span;
+      const uint64_t hi = lo + GetInt(*payload, &cursor, vb);
+      SEABED_CHECK_MSG(lo <= hi, "corrupt ID list run");
       uint64_t count = 1;
       if (has_counts) {
-        count = GetInt(payload, &cursor, vb) + 1;
+        const uint64_t extra = GetInt(*payload, &cursor, vb);
+        SEABED_CHECK_MSG(extra < uint64_t{INT64_MAX}, "corrupt ID list multiplicity");
+        count = extra + 1;
       }
-      for (uint64_t c = 0; c < count; ++c) {
-        ids.AddRange(lo, hi);
-      }
+      runs.push_back({lo, hi, count});
       prev = hi + 1;
     }
   } else {
-    const uint64_t total = GetInt(payload, &cursor, vb);
+    const uint64_t total = GetInt(*payload, &cursor, vb);
+    SEABED_CHECK_MSG(total <= (payload->size() - cursor) / field_bytes,
+                     "corrupt ID list: " << total << " ids in " << payload->size()
+                                         << " bytes");
     uint64_t prev = 0;
     for (uint64_t i = 0; i < total; ++i) {
-      const uint64_t field = GetInt(payload, &cursor, vb);
+      const uint64_t field = GetInt(*payload, &cursor, vb);
       const uint64_t id = use_diff ? prev + field : field;
-      ids.Add(id);
+      IdSet::Run* back = runs.empty() ? nullptr : &runs.back();
+      if (back != nullptr && back->count == 1 && id == back->hi + 1) {
+        back->hi = id;  // the next id of a run
+      } else if (back != nullptr && back->lo == id && back->hi == id) {
+        ++back->count;  // a repeated id (multiplicity by repetition)
+      } else {
+        runs.push_back({id, id, 1});
+      }
       prev = id;
     }
   }
-  return ids;
+}
+
+IdSet IdListDecode(const Bytes& bytes) {
+  std::vector<IdSet::Run> runs;
+  IdListDecodeRuns(bytes, runs);
+  return IdSet::FromRuns(std::move(runs));
 }
 
 }  // namespace seabed

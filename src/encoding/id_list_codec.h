@@ -57,6 +57,13 @@ Bytes IdListEncode(const IdSet& ids, const IdListOptions& options);
 // Inverse of IdListEncode.
 IdSet IdListDecode(const Bytes& bytes);
 
+// Appends the runs of one encoded list to `runs` as encoded, without
+// normalizing, so the lists of one aggregate decode into a single vector
+// (IdSet::FromRuns then normalizes it once). Each run is decoded once with
+// its multiplicity. Aborts on corrupt input, including a run or id count
+// larger than the payload could encode.
+void IdListDecodeRuns(const Bytes& bytes, std::vector<IdSet::Run>& runs);
+
 }  // namespace seabed
 
 #endif  // SEABED_SRC_ENCODING_ID_LIST_CODEC_H_

@@ -118,25 +118,36 @@ Bytes LzCompress(const Bytes& input, LzLevel level) {
 Bytes LzDecompress(const Bytes& input) {
   size_t cursor = 0;
   const uint64_t total = GetVarint(input, &cursor);
-  Bytes out;
-  out.reserve(total);
-  while (out.size() < total) {
+  // Every token takes at least two input bytes (a length varint plus >= 1
+  // literal byte, or two varints) and expands to at most kMaxMatch bytes, so
+  // a larger size claim is corrupt: reject it before allocating for it.
+  SEABED_CHECK_MSG(total <= (input.size() - cursor) / 2 * kMaxMatch,
+                   "corrupt LZ header: " << total << " bytes from " << input.size());
+  Bytes out(total);
+  size_t pos = 0;
+  while (pos < total) {
     const uint64_t token = GetVarint(input, &cursor);
     const uint64_t len = token >> 1;
+    SEABED_CHECK_MSG(len <= total - pos, "corrupt LZ token overruns the output");
+    uint8_t* dst = out.data() + pos;
     if (token & 1) {
       const uint64_t distance = GetVarint(input, &cursor);
-      SEABED_CHECK_MSG(distance >= 1 && distance <= out.size(), "corrupt LZ match");
-      size_t src = out.size() - distance;
-      for (uint64_t i = 0; i < len; ++i) {
-        out.push_back(out[src + i]);  // byte-wise: overlapping matches are legal
+      SEABED_CHECK_MSG(distance >= 1 && distance <= pos, "corrupt LZ match");
+      const uint8_t* src = dst - distance;
+      if (distance >= len) {
+        std::memcpy(dst, src, len);
+      } else {
+        for (uint64_t i = 0; i < len; ++i) {
+          dst[i] = src[i];  // byte-wise: an overlapping match reads its own output
+        }
       }
     } else {
-      SEABED_CHECK_MSG(cursor + len <= input.size(), "corrupt LZ literal run");
-      out.insert(out.end(), input.begin() + cursor, input.begin() + cursor + len);
+      SEABED_CHECK_MSG(len <= input.size() - cursor, "corrupt LZ literal run");
+      std::memcpy(dst, input.data() + cursor, len);
       cursor += len;
     }
+    pos += len;
   }
-  SEABED_CHECK(out.size() == total);
   return out;
 }
 

@@ -14,8 +14,18 @@ namespace seabed {
 // Appends the VB encoding of `value` to `out`.
 void PutVarint(Bytes& out, uint64_t value);
 
+// The general (multi-byte) case of GetVarint.
+uint64_t GetVarintMultiByte(const Bytes& in, size_t* cursor);
+
 // Decodes a VB integer at *cursor, advancing it. Aborts on truncated input.
-uint64_t GetVarint(const Bytes& in, size_t* cursor);
+// One-byte values, which most ID-list gaps, run lengths and LZ tokens are,
+// decode inline.
+inline uint64_t GetVarint(const Bytes& in, size_t* cursor) {
+  if (*cursor < in.size() && in[*cursor] < 0x80) {
+    return in[(*cursor)++];
+  }
+  return GetVarintMultiByte(in, cursor);
+}
 
 // Number of bytes PutVarint would append.
 size_t VarintSize(uint64_t value);

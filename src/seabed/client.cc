@@ -17,7 +17,7 @@ namespace {
 // Deflated (post-merge) per-aggregate state.
 struct MergedAgg {
   uint64_t ashe_value = 0;
-  std::vector<IdSet> id_parts;  // merged lazily with one normalization pass
+  std::vector<IdSet::Run> id_runs;  // every blob's runs; normalized once
   uint64_t row_count = 0;
   bool minmax_valid = false;
   OreCiphertext minmax_ore;
@@ -80,6 +80,15 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     }
   }
 
+  // Group-key decryptors, derived once per call rather than once per group.
+  std::vector<std::unique_ptr<DetInt>> group_det(cplan.group_outputs.size());
+  for (size_t g = 0; g < cplan.group_outputs.size(); ++g) {
+    const ClientGroupOutput& go = cplan.group_outputs[g];
+    if (go.kind == ClientGroupOutput::Kind::kDetInt) {
+      group_det[g] = std::make_unique<DetInt>(keys_->DeriveColumnKey(go.key_label));
+    }
+  }
+
   // 1. Decompress ID lists and deflate inflated groups (merge by base key).
   std::map<std::string, MergedGroup> merged;
   for (const ServerGroup& g : response.groups) {
@@ -96,7 +105,7 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
         case ServerAggregate::Kind::kAsheSum: {
           agg.ashe_value += src.ashe_value;
           for (const Bytes& blob : src.id_blobs) {
-            agg.id_parts.push_back(IdListDecode(blob));
+            IdListDecodeRuns(blob, agg.id_runs);
           }
           break;
         }
@@ -152,8 +161,7 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
         case ServerAggregate::Kind::kAsheSum: {
           AsheCiphertext ct;
           ct.value = agg.ashe_value;
-          ct.ids = IdSet::MergeAll(agg.id_parts);
-          agg.id_parts.clear();
+          ct.ids = IdSet::FromRuns(std::move(agg.id_runs));
           prf_calls += Ashe::DecryptPrfCalls(ct);
           decrypted[a] = static_cast<int64_t>(agg_ashe[a]->Decrypt(ct));
           break;
@@ -189,12 +197,10 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
         case ClientGroupOutput::Kind::kPlainString:
           row.push_back(part);
           break;
-        case ClientGroupOutput::Kind::kDetInt: {
-          const DetInt det(keys_->DeriveColumnKey(go.key_label));
+        case ClientGroupOutput::Kind::kDetInt:
           row.emplace_back(static_cast<int64_t>(
-              det.Decrypt(static_cast<uint64_t>(std::get<int64_t>(part)))));
+              group_det[g]->Decrypt(static_cast<uint64_t>(std::get<int64_t>(part)))));
           break;
-        }
         case ClientGroupOutput::Kind::kDetString: {
           const EncryptedDatabase& owner = go.on_right ? *right_db : *db_;
           const auto dict_it = owner.det_dictionaries.find(go.enc_column);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <vector>
 
 #include "src/common/bytes.h"
 #include "src/common/rng.h"
@@ -104,6 +105,53 @@ TEST(Aes128Test, PortableMatchesHardwarePath) {
     portable.EncryptBlock(block, b);
     EXPECT_EQ(ToHex(a, 16), ToHex(b, 16));
   }
+}
+
+// The batched kernel must equal one EncryptCounter per counter for every
+// length around the 8-block interleave: empty, partial, whole and whole plus
+// tail batches.
+TEST(Aes128Test, BatchedCountersMatchPerBlock) {
+  const AesKey key = AesKey::FromSeed(78);
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 17; ++n) {
+    lengths.push_back(n);
+  }
+  lengths.insert(lengths.end(), {63, 64, 65});
+  for (const bool force_portable : {false, true}) {
+    const Aes128 aes(key, force_portable);
+    Rng rng(force_portable ? 9 : 8);
+    for (const size_t n : lengths) {
+      std::vector<uint64_t> counters(n);
+      for (size_t k = 0; k < n; ++k) {
+        // Mix small, adjacent and full-width counters.
+        counters[k] = k % 3 == 0 ? rng.Next() : k;
+      }
+      std::vector<uint64_t> batched(2 * n + 1, 0xfeedULL);  // +1: no overrun
+      aes.EncryptCounters(counters.data(), n, batched.data());
+      for (size_t k = 0; k < n; ++k) {
+        uint64_t words[2];
+        aes.EncryptCounter(counters[k], words);
+        EXPECT_EQ(batched[2 * k], words[0]) << "n=" << n << " k=" << k;
+        EXPECT_EQ(batched[2 * k + 1], words[1]) << "n=" << n << " k=" << k;
+      }
+      EXPECT_EQ(batched[2 * n], 0xfeedULL) << "n=" << n;
+    }
+  }
+}
+
+TEST(Aes128Test, BatchedHardwareMatchesPortable) {
+  const AesKey key = AesKey::FromSeed(79);
+  const Aes128 fast(key);
+  const Aes128 portable(key, /*force_portable=*/true);
+  std::vector<uint64_t> counters(65);
+  for (size_t k = 0; k < counters.size(); ++k) {
+    counters[k] = k * 0x9e3779b97f4a7c15ULL;
+  }
+  std::vector<uint64_t> a(2 * counters.size());
+  std::vector<uint64_t> b(2 * counters.size());
+  fast.EncryptCounters(counters.data(), counters.size(), a.data());
+  portable.EncryptCounters(counters.data(), counters.size(), b.data());
+  EXPECT_EQ(a, b);
 }
 
 TEST(Aes128Test, KeyFromSeedIsStable) {

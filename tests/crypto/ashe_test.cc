@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
+#include "src/crypto/prf.h"
 
 namespace seabed {
 namespace {
@@ -158,6 +161,41 @@ TEST_P(AsheRangeSweepTest, RangeOfLengthNDecrypts) {
 
 INSTANTIATE_TEST_SUITE_P(Lengths, AsheRangeSweepTest,
                          ::testing::Values(1, 2, 3, 17, 256, 4096));
+
+// Decrypt evaluates run endpoints in fixed-size chunks through the 8-block
+// AES kernel. Run counts straddling both boundaries, with multiplicities,
+// must give exactly the per-run sum of count * RangeDelta.
+class AsheRunCountSweepTest : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(AsheRunCountSweepTest, BatchedDecryptMatchesPerRunRangeDelta) {
+  const size_t num_runs = GetParam();
+  const AesKey key = AesKey::FromSeed(14);
+  const Ashe ashe(key);
+  const Prf prf(key);
+  Rng rng(num_runs);
+  std::vector<IdSet::Run> runs;
+  uint64_t next = 1 + rng.Below(3);
+  uint64_t expected_pad = 0;
+  for (size_t r = 0; r < num_runs; ++r) {
+    // Singletons, short and long runs, odd and even endpoints; gaps of 1+
+    // keep runs disjoint, and every third run is a multiset run.
+    const uint64_t lo = next;
+    const uint64_t hi = lo + (r % 4 == 0 ? 0 : rng.Below(r % 4 == 1 ? 3 : 500));
+    const uint64_t count = r % 3 == 2 ? 2 + rng.Below(5) : 1;
+    runs.push_back({lo, hi, count});
+    expected_pad += count * prf.RangeDelta(lo, hi);
+    next = hi + 2 + rng.Below(4);
+  }
+  AsheCiphertext ct;
+  ct.value = 12345;
+  ct.ids = IdSet::FromRuns(runs);
+  ASSERT_EQ(ct.ids.NumRuns(), num_runs);
+  EXPECT_EQ(ashe.Decrypt(ct), 12345 + expected_pad);
+}
+
+INSTANTIATE_TEST_SUITE_P(RunCounts, AsheRunCountSweepTest,
+                         ::testing::Values(0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 127,
+                                           128, 129, 1000));
 
 }  // namespace
 }  // namespace seabed

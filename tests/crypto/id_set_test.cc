@@ -140,6 +140,40 @@ TEST(IdSetTest, InterleavedUnionNormalizes) {
   EXPECT_EQ(count5, 2u);
 }
 
+TEST(IdSetTest, FromRunsCoalescesSortedRuns) {
+  const IdSet s = IdSet::FromRuns({{1, 5, 1}, {6, 10, 1}, {11, 11, 2}, {20, 30, 1}});
+  ASSERT_EQ(s.NumRuns(), 3u);
+  EXPECT_EQ(s.runs()[0], (IdSet::Run{1, 10, 1}));
+  EXPECT_EQ(s.runs()[1], (IdSet::Run{11, 11, 2}));
+  EXPECT_EQ(s.runs()[2], (IdSet::Run{20, 30, 1}));
+}
+
+TEST(IdSetTest, FromRunsNormalizesOverlapAfterCoalescing) {
+  // The first two runs coalesce before the third overlaps them; the
+  // coalesced prefix must not be counted twice.
+  const IdSet s = IdSet::FromRuns({{1, 5, 1}, {6, 10, 1}, {3, 4, 1}});
+  EXPECT_EQ(s.TotalCount(), 12u);
+  ASSERT_EQ(s.NumRuns(), 3u);
+  EXPECT_EQ(s.runs()[0], (IdSet::Run{1, 2, 1}));
+  EXPECT_EQ(s.runs()[1], (IdSet::Run{3, 4, 2}));
+  EXPECT_EQ(s.runs()[2], (IdSet::Run{5, 10, 1}));
+}
+
+TEST(IdSetTest, FromRunsEqualsRepeatedUnion) {
+  // Interleaved parts, as an inflated group's per-suffix lists arrive.
+  std::vector<IdSet::Run> runs;
+  IdSet expected;
+  for (uint64_t part = 0; part < 4; ++part) {
+    IdSet p;
+    for (uint64_t id = 1 + part; id < 400; id += 3) {
+      p.Add(id);
+    }
+    runs.insert(runs.end(), p.runs().begin(), p.runs().end());
+    expected.UnionWith(p);
+  }
+  EXPECT_EQ(IdSet::FromRuns(runs), expected);
+}
+
 TEST(IdSetTest, LargeAlternatingPattern) {
   // Every even id in [0, 2000): 1000 runs of length 1 — the paper's
   // "query that selects all even rows" worst case for range encoding.

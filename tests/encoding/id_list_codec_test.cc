@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/common/rng.h"
+#include "src/encoding/varint.h"
 
 namespace seabed {
 namespace {
@@ -173,6 +176,64 @@ TEST(IdListCodecSizeTest, GroupByPresetSkipsRange) {
   EXPECT_FALSE(o.use_range);
   EXPECT_TRUE(o.use_diff);
   EXPECT_TRUE(o.use_vb);
+}
+
+TEST(IdListDecodeTest, HugeMultiplicityDecodesToOneRun) {
+  // Each run decodes once with its count, so the cost does not grow with
+  // the multiplicity.
+  const IdSet ids = IdSet::FromRuns({{5, 9, uint64_t{1} << 40}});
+  const IdSet decoded = IdListDecode(IdListEncode(ids, IdListOptions::Default()));
+  ASSERT_EQ(decoded.NumRuns(), 1u);
+  EXPECT_EQ(decoded.runs()[0], (IdSet::Run{5, 9, uint64_t{1} << 40}));
+}
+
+TEST(IdListDecodeTest, InterleavedPartsDecodeIntoOneNormalizedSet) {
+  // The per-suffix lists of an inflated group interleave and overlap;
+  // decoding them into one vector and normalizing once must equal the
+  // union of the individually decoded sets.
+  std::vector<IdSet::Run> runs;
+  IdSet expected;
+  for (uint64_t part = 0; part < 3; ++part) {
+    IdSet p;
+    for (uint64_t id = 1 + part; id < 3000; id += 2 + part) {
+      p.Add(id);
+    }
+    p.AddRange(5000, 5100);  // shared by every part: multiplicity 3
+    for (const IdListOptions& o : {IdListOptions::Default(), IdListOptions::GroupBy()}) {
+      const Bytes blob = IdListEncode(p, o);
+      IdListDecodeRuns(blob, runs);
+      expected.UnionWith(IdListDecode(blob));
+    }
+  }
+  const IdSet merged = IdSet::FromRuns(std::move(runs));
+  EXPECT_EQ(merged, expected);
+  EXPECT_FALSE(merged.IsPlainSet());
+  EXPECT_EQ(merged.runs().back(), (IdSet::Run{5000, 5100, 6}));
+}
+
+TEST(IdListDecodeDeathTest, RunCountBeyondPayloadIsRejected) {
+  IdListOptions raw = IdListOptions::Default();
+  raw.compression = IdListCompression::kNone;
+  Bytes blob = {IdListEncode(IdSet::Single(1), raw)[0]};
+  PutVarint(blob, uint64_t{1} << 40);  // num_runs
+  blob.insert(blob.end(), {1, 0, 1, 0});
+  EXPECT_DEATH(IdListDecode(blob), "corrupt ID list");
+}
+
+TEST(IdListDecodeDeathTest, IdCountBeyondPayloadIsRejected) {
+  IdListOptions raw = IdListOptions::GroupBy();
+  raw.compression = IdListCompression::kNone;
+  Bytes blob = {IdListEncode(IdSet::Single(1), raw)[0]};
+  PutVarint(blob, uint64_t{1} << 40);  // total ids
+  blob.insert(blob.end(), {1, 1, 1});
+  EXPECT_DEATH(IdListDecode(blob), "corrupt ID list");
+}
+
+TEST(IdListDecodeDeathTest, LzSizeBeyondPayloadIsRejected) {
+  Bytes blob = {IdListEncode(IdSet::Single(1), IdListOptions::Default())[0]};
+  PutVarint(blob, uint64_t{1} << 40);  // LZ header: decompressed size
+  blob.insert(blob.end(), {2, 1});      // one 1-byte literal
+  EXPECT_DEATH(IdListDecode(blob), "corrupt LZ header");
 }
 
 TEST(IdListCodecSizeTest, LabelsAreStable) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/encoding/varint.h"
 
 namespace seabed {
 namespace {
@@ -76,6 +77,22 @@ TEST(LzTest, CompactIsAtLeastAsSmallOnRedundantData) {
   const size_t fast = LzCompress(input, LzLevel::kFast).size();
   const size_t compact = LzCompress(input, LzLevel::kCompact).size();
   EXPECT_LE(compact, fast);
+}
+
+TEST(LzDeathTest, SizeClaimBeyondInputIsRejected) {
+  // Two bytes of tokens expand to at most kMaxMatch (64 KiB) bytes.
+  Bytes input;
+  PutVarint(input, uint64_t{1} << 40);
+  input.insert(input.end(), {2, 'a'});
+  EXPECT_DEATH(LzDecompress(input), "corrupt LZ header");
+}
+
+TEST(LzDeathTest, MatchOverrunningDeclaredSizeIsRejected) {
+  Bytes input;
+  PutVarint(input, 4);
+  input.insert(input.end(), {2, 'a'});        // literal "a"
+  input.insert(input.end(), {(8 << 1) | 1, 1});  // 8-byte match, distance 1
+  EXPECT_DEATH(LzDecompress(input), "overruns");
 }
 
 }  // namespace
