@@ -183,11 +183,12 @@ struct QueryStats {
   // pin it across sessions.
   uint64_t rows_touched = 0;
 
-  // Sharded fan-out detail (kShardedSeabed): simulated round-two server
-  // latency per shard, the per-shard probe cost (round-one count probe plus
-  // any intra-shard row-group probe) reported separately so pruned shards —
-  // which run no round two — don't over-report, and the coordinator's
-  // ciphertext-side merge time. Empty / zero on single-server backends.
+  // Sharded fan-out detail (kSeabed and kShardedSeabed): simulated
+  // round-two server latency per shard, the per-shard probe cost (round-one
+  // count probe plus any intra-shard row-group probe) reported separately so
+  // pruned shards — which run no round two — don't over-report, and the
+  // coordinator's ciphertext-side merge time. kSeabed reports its one shard
+  // and a zero merge; empty / zero on kPlain and kPaillier.
   std::vector<double> shard_server_seconds;
   std::vector<double> shard_probe_seconds;
   double merge_seconds = 0;
@@ -197,8 +198,9 @@ struct QueryStats {
   // routed this query to before any fan-out, and the fleet size. Equal when
   // the query is not routable (hash placement, or no clustering-key filter
   // — full fan-out); routed == 0 means no shard's key range intersects the
-  // predicate and both rounds were skipped outright. Both zero on
-  // single-server backends.
+  // predicate and both rounds were skipped outright. kSeabed reports
+  // shards_total == 1 (and routes its one shard); both zero on kPlain and
+  // kPaillier.
   uint64_t shards_routed = 0;
   uint64_t shards_total = 0;
 
@@ -220,11 +222,12 @@ struct QueryStats {
 
   // Two-round probe detail (src/seabed/probe.h): whether round one ran, its
   // cost (also folded into server_seconds), and how much of the fleet it let
-  // round two skip. The units are row groups of the summary index — on
-  // kShardedSeabed aggregated across the shards' per-server indexes when the
-  // intra-shard prune ran, and falling back to shard granularity when only
-  // the shard-level count probe did. All zero/false when no probe ran —
-  // cache hits in particular never probe.
+  // round two skip. The units are row groups of the summary index,
+  // aggregated across the shards' per-server indexes when the intra-shard
+  // prune ran, and falling back to shard granularity when only the
+  // shard-level count probe did (it needs two or more routed shards, so
+  // never on kSeabed). All zero/false when no probe ran — cache hits in
+  // particular never probe.
   bool probe_used = false;
   double probe_seconds = 0;
   uint64_t row_groups_total = 0;

@@ -6,7 +6,6 @@
 #include "src/common/stopwatch.h"
 #include "src/query/plain_executor.h"
 #include "src/seabed/caching_backend.h"
-#include "src/seabed/client.h"
 #include "src/seabed/sharded_backend.h"
 
 namespace seabed {
@@ -67,13 +66,9 @@ ResultSet Executor::ExecutePrepared(const PreparedQuery& prepared,
   return result;
 }
 
-void GrowPlainTable(Table& dst, const Table& src, const Table* shared_with) {
+void GrowPlainTable(Table& dst, const Table& src) {
   for (const std::string& name : dst.column_names()) {
     const ColumnPtr& col = dst.GetColumn(name);
-    if (shared_with != nullptr && shared_with->HasColumn(name) &&
-        shared_with->GetColumn(name).get() == col.get()) {
-      continue;
-    }
     const ColumnPtr& from = src.GetColumn(name);
     SEABED_CHECK_MSG(from->type() == col->type(), "append schema mismatch on " << name);
     if (col->type() == ColumnType::kInt64) {
@@ -94,30 +89,7 @@ void GrowPlainTable(Table& dst, const Table& src, const Table* shared_with) {
   }
 }
 
-std::shared_ptr<Table> CloneTable(const Table& src) {
-  auto out = std::make_shared<Table>(src.name());
-  for (const std::string& name : src.column_names()) {
-    const ColumnPtr& col = src.GetColumn(name);
-    if (col->type() == ColumnType::kInt64) {
-      auto c = std::make_shared<Int64Column>();
-      const auto* s = static_cast<const Int64Column*>(col.get());
-      for (size_t i = 0; i < src.NumRows(); ++i) {
-        c->Append(s->Get(i));
-      }
-      out->AddColumn(name, std::move(c));
-    } else {
-      SEABED_CHECK_MSG(col->type() == ColumnType::kString,
-                       "clone supports plaintext int/string columns only (" << name << ")");
-      auto c = std::make_shared<StringColumn>();
-      const auto* s = static_cast<const StringColumn*>(col.get());
-      for (size_t i = 0; i < src.NumRows(); ++i) {
-        c->Append(s->Get(i));
-      }
-      out->AddColumn(name, std::move(c));
-    }
-  }
-  return out;
-}
+std::shared_ptr<Table> CloneTable(const Table& src) { return DeepCopyTable(src); }
 
 // One real-measured unit of ingest work, priced on the synthetic fabric: the
 // batch splits into row-range tasks round-robined over the modeled workers,
@@ -156,7 +128,7 @@ void PlainExecutorBackend::Prepare(AttachedTable& table) {
 void PlainExecutorBackend::Append(AttachedTable& table, const Table& new_rows,
                                   JobStats* stats) {
   Stopwatch sw;
-  GrowPlainTable(*table.plain, new_rows, nullptr);
+  GrowPlainTable(*table.plain, new_rows);
   if (stats != nullptr) {
     *stats = ModelIngestJob(*context_->cluster, sw.ElapsedSeconds(), IngestTasks(new_rows));
   }
@@ -169,249 +141,6 @@ ResultSet PlainExecutorBackend::Execute(const Query& query, QueryStats* stats) {
     right = context_->catalog->Get(query.join->right_table).plain.get();
   }
   return ExecutePlain(*fact.plain, query, *context_->cluster, right, stats);
-}
-
-// --- Seabed ------------------------------------------------------------------
-
-SeabedBackend::TableState& SeabedBackend::StateFor(const std::string& name) {
-  std::lock_guard<std::mutex> lock(states_mu_);
-  std::unique_ptr<TableState>& slot = states_[name];
-  if (slot == nullptr) {
-    slot = std::make_unique<TableState>();
-  }
-  return *slot;
-}
-
-const TableVersion* SeabedBackend::CurrentVersion(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(states_mu_);
-  const auto it = states_.find(name);
-  if (it == states_.end()) {
-    return nullptr;
-  }
-  return it->second->current.load(std::memory_order_seq_cst);
-}
-
-uint64_t SeabedBackend::probe_index_builds(const std::string& table) const {
-  EpochDomain::Guard guard(epochs_);
-  const TableVersion* version = CurrentVersion(table);
-  return version == nullptr ? 0 : version->probe.builds();
-}
-
-void SeabedBackend::Prepare(AttachedTable& table) {
-  std::lock_guard<std::mutex> writer(writer_mu_);
-  const Encryptor encryptor(*context_->keys);
-  auto version = std::make_shared<TableVersion>();
-  version->enc = encryptor.Encrypt(*table.plain, table.schema, table.plan);
-  table.enc = version->enc;  // session-visible client view (shares the table)
-
-  TableState& state = StateFor(table.name);
-  std::shared_ptr<const TableVersion> old = std::move(state.owner);
-  state.owner = std::move(version);
-  state.current.store(state.owner.get(), std::memory_order_seq_cst);
-  if (old != nullptr) {
-    epochs_.Retire(std::move(old));  // re-attach: drain readers of the old one
-  }
-}
-
-void SeabedBackend::Append(AttachedTable& table, const Table& new_rows, JobStats* stats) {
-  SEABED_CHECK_MSG(table.enc.has_value(), "append to unprepared table " << table.name);
-  std::lock_guard<std::mutex> writer(writer_mu_);
-  Stopwatch sw;
-  TableState& state = StateFor(table.name);
-  const std::shared_ptr<const TableVersion> old = state.owner;
-
-  // Build the successor version off to the side: copy, grow the copy, seed
-  // its probe summaries from the parent. Readers keep scanning `old`.
-  auto next = std::make_shared<TableVersion>();
-  next->enc = CopyEncryptedDatabase(old->enc);
-  const Encryptor encryptor(*context_->keys);
-  encryptor.AppendRows(next->enc, new_rows, table.schema);
-  next->probe.SeedFrom(old->probe, *next->enc.table);
-
-  // The attached plaintext table has no snapshot readers (encrypted Execute
-  // never touches it); grow it in place for the session's own accessors.
-  GrowPlainTable(*table.plain, new_rows, nullptr);
-  table.enc = next->enc;
-
-  // Publish, then retire: any reader that misses the new pointer is pinned
-  // at an epoch that keeps `old` alive until its guard drops.
-  state.current.store(next.get(), std::memory_order_seq_cst);
-  state.owner = std::move(next);
-  epochs_.Retire(old);
-  if (stats != nullptr) {
-    *stats = ModelIngestJob(*context_->cluster, sw.ElapsedSeconds(), IngestTasks(new_rows));
-  }
-}
-
-ResultSet SeabedBackend::Execute(const Query& query, QueryStats* stats) {
-  const AttachedTable& fact = context_->catalog->Get(query.table);
-
-  // Pin this query's snapshot: every table pointer resolved below stays
-  // alive until the guard drops, and all of them belong to versions
-  // published before this point — an overlapping append is invisible.
-  EpochDomain::Guard guard(epochs_);
-  const TableVersion* fver = CurrentVersion(query.table);
-  SEABED_CHECK_MSG(fver != nullptr, "table " << fact.name << " was not prepared");
-
-  Stopwatch translate_sw;
-  TranslatorOptions topts = context_->translator;
-  topts.cluster_workers = context_->cluster->num_workers();
-
-  // Joined-table resolution, from the joined table's own published version.
-  // Resolved before the plan-cache probe because decryption needs `right_db`
-  // on hits too.
-  const EncryptedDatabase* right_db = nullptr;
-  if (query.join.has_value()) {
-    const TableVersion* rver = CurrentVersion(query.join->right_table);
-    SEABED_CHECK_MSG(rver != nullptr,
-                     "joined table " << query.join->right_table << " not prepared");
-    right_db = &rver->enc;
-  }
-
-  std::shared_ptr<const TranslatedQuery> tq;
-  bool plan_cache_hit = false;
-  std::string plan_key;
-  if (plan_cache_ != nullptr) {
-    plan_key = PlanCacheKey(query, topts);
-    tq = plan_cache_->Find(plan_key);
-    plan_cache_hit = tq != nullptr;
-  }
-  if (tq == nullptr) {
-    const Translator translator(fver->enc, *context_->keys);
-    auto fresh = std::make_shared<TranslatedQuery>(translator.Translate(query, topts));
-    if (fresh->server.join.has_value()) {
-      // The resolution is deterministic (encrypted table names are fixed at
-      // Prepare), so the cached plan carries it.
-      fresh->server.join->right_table = right_db->table->name();
-    }
-    tq = std::move(fresh);
-    if (plan_cache_ != nullptr) {
-      plan_cache_->Insert(plan_key, tq);
-    }
-  }
-  const double translate_seconds = translate_sw.ElapsedSeconds();
-
-  ResultSet result = RunTranslated(query, fact, fver, right_db, *tq, stats);
-  if (stats != nullptr) {
-    stats->translate_seconds = translate_seconds;
-    stats->plan_cache_hit = plan_cache_hit;
-  }
-  return result;
-}
-
-ResultSet SeabedBackend::RunTranslated(const Query& query, const AttachedTable& fact,
-                                       const TableVersion* fver,
-                                       const EncryptedDatabase* right_db,
-                                       const TranslatedQuery& tq, QueryStats* stats) {
-  // Round one (adaptive two-round execution): evaluate the plan's probe
-  // section against the pinned version's row-group summaries, then scan only
-  // the surviving groups — or skip round two entirely when nothing can
-  // match. kAuto pays the probe only when the planner's selectivity estimate
-  // (or an explicit client two-round hint) predicts round two will skip most
-  // rows.
-  const ProbeOptions& popts = context_->probe;
-  bool probe_used = false;
-  ServerProbeResult probe;
-  if (popts.mode != ProbeMode::kOff && tq.probe.prunable) {
-    bool go = popts.mode == ProbeMode::kForced || query.needs_two_round_trips;
-    if (!go) {
-      go = EstimateFilterSelectivity(query, fact.schema) <= popts.auto_selectivity_threshold;
-    }
-    if (go) {
-      probe = fver->probe.Probe(*fver->enc.table, tq.probe, popts.row_group_size);
-      probe_used = true;
-    }
-  }
-
-  EncryptedResponse response;
-  if (probe_used && probe.surviving.empty()) {
-    // Zero-match short-circuit: no row group can satisfy the predicates, so
-    // round two never runs. An empty response decrypts to the same rows a
-    // zero-match scan produces (global aggregates still yield the SQL zero
-    // row).
-    response = EncryptedResponse{};
-  } else {
-    response = server_.Execute(tq.server, *context_->cluster, fver->enc.table.get(),
-                               right_db == nullptr ? nullptr : right_db->table.get(),
-                               probe_used ? &probe.surviving : nullptr);
-  }
-  const Client client(fver->enc, *context_->keys);
-  ResultSet result = client.Decrypt(response, tq, *context_->cluster, right_db, stats);
-  if (stats != nullptr) {
-    stats->probe_used = probe_used;
-    stats->probe_seconds = probe.seconds;
-    stats->row_groups_total = probe.total_groups;
-    stats->row_groups_pruned = probe.pruned_groups;
-    stats->server_seconds += probe.seconds;  // round one is server latency too
-  }
-  return result;
-}
-
-ResultSet SeabedBackend::ExecutePrepared(const PreparedQuery& prepared,
-                                         std::span<const Value> params, QueryStats* stats) {
-  SEABED_CHECK_MSG(prepared.valid(), "ExecutePrepared on an invalid (default) handle");
-  if (!prepared.parameterized()) {
-    // A placeholder rides on a SPLASHE column: its rewrite depends on the
-    // literal value, so the shape cannot be translated once. Bind, then run
-    // the ad-hoc path (the base implementation reports prepared/bind stats).
-    return Executor::ExecutePrepared(prepared, params, stats);
-  }
-  const Query& shape = prepared.shape();
-  const AttachedTable& fact = context_->catalog->Get(shape.table);
-
-  // The bound Query still exists per call — the probe cost gate estimates
-  // selectivity from the literals — but it is a plain struct copy, not a
-  // parse or a translation.
-  Stopwatch bind_sw;
-  const Query bound = prepared.Bind(params);
-  double bind_seconds = bind_sw.ElapsedSeconds();
-
-  EpochDomain::Guard guard(epochs_);
-  const TableVersion* fver = CurrentVersion(shape.table);
-  SEABED_CHECK_MSG(fver != nullptr, "table " << fact.name << " was not prepared");
-
-  Stopwatch translate_sw;
-  TranslatorOptions topts = context_->translator;
-  topts.cluster_workers = context_->cluster->num_workers();
-
-  const EncryptedDatabase* right_db = nullptr;
-  if (shape.join.has_value()) {
-    const TableVersion* rver = CurrentVersion(shape.join->right_table);
-    SEABED_CHECK_MSG(rver != nullptr,
-                     "joined table " << shape.join->right_table << " not prepared");
-    right_db = &rver->enc;
-  }
-
-  // One translation per shape: the handle carries the fingerprint half of
-  // the plan key, so a warm call is one map lookup away from its plan.
-  TranslatedPlanCache& cache = plan_cache_ != nullptr ? *plan_cache_ : own_plan_cache_;
-  const std::string plan_key =
-      prepared.plan_key_base() + PlanCacheKeySuffix(shape.expected_groups, topts);
-  std::shared_ptr<const TranslatedQuery> shape_tq = cache.Find(plan_key);
-  const bool plan_cache_hit = shape_tq != nullptr;
-  if (shape_tq == nullptr) {
-    const Translator translator(fver->enc, *context_->keys);
-    auto fresh = std::make_shared<TranslatedQuery>(translator.Translate(shape, topts));
-    if (fresh->server.join.has_value()) {
-      fresh->server.join->right_table = right_db->table->name();
-    }
-    shape_tq = std::move(fresh);
-    cache.Insert(plan_key, shape_tq);
-  }
-  const double translate_seconds = translate_sw.ElapsedSeconds();
-
-  Stopwatch plan_bind_sw;
-  const TranslatedQuery bound_tq = BindTranslatedQuery(*shape_tq, params);
-  bind_seconds += plan_bind_sw.ElapsedSeconds();
-
-  ResultSet result = RunTranslated(bound, fact, fver, right_db, bound_tq, stats);
-  if (stats != nullptr) {
-    stats->translate_seconds = translate_seconds;
-    stats->plan_cache_hit = plan_cache_hit;
-    stats->prepared = true;
-    stats->bind_seconds = bind_seconds;
-  }
-  return result;
 }
 
 // --- Paillier baseline -------------------------------------------------------
@@ -436,7 +165,7 @@ void PaillierBackend::Append(AttachedTable& table, const Table& new_rows,
   // modeled ingest job prices that full rebuild, so the whole table counts
   // as the task set.
   Stopwatch sw;
-  GrowPlainTable(*table.plain, new_rows, nullptr);
+  GrowPlainTable(*table.plain, new_rows);
   Prepare(table);
   if (stats != nullptr) {
     *stats = ModelIngestJob(*context_->cluster, sw.ElapsedSeconds(), IngestTasks(*table.plain));
@@ -480,11 +209,12 @@ std::unique_ptr<Executor> MakeExecutor(BackendKind kind, const ExecutionContext*
     case BackendKind::kPlain:
       return std::make_unique<PlainExecutorBackend>(context);
     case BackendKind::kSeabed:
-      return std::make_unique<SeabedBackend>(context);
+      // The paper's single server: the sharded engine at one shard.
+      return std::make_unique<ShardedSeabedBackend>(context, 1, BackendKindName(kind));
     case BackendKind::kPaillier:
       return std::make_unique<PaillierBackend>(context, paillier_options);
     case BackendKind::kShardedSeabed:
-      return std::make_unique<ShardedSeabedBackend>(context, shards);
+      return std::make_unique<ShardedSeabedBackend>(context, shards, BackendKindName(kind));
     case BackendKind::kCachingSeabed: {
       SEABED_CHECK_MSG(cache.inner != BackendKind::kCachingSeabed,
                        "a caching backend cannot wrap another caching backend");

@@ -76,8 +76,9 @@ struct ServerProbeResult {
 };
 
 // The server is stateless: it holds no table registry and no mutable probe
-// state. Backends own immutable `TableVersion` snapshots (src/seabed/
-// snapshot.h) and hand Execute the exact table objects to scan, so any number
+// state. The Seabed engine owns immutable `ShardedTableVersion` snapshots
+// (src/seabed/snapshot.h; one part per shard, a single part on kSeabed) and
+// hands each shard's Execute the exact table objects to scan, so any number
 // of queries run concurrently with zero server-side synchronization — the
 // snapshot publish/reclaim protocol (src/common/epoch.h) is the only
 // concurrency mechanism on the read path. Row-group probing lives with the
@@ -87,8 +88,8 @@ class Server {
  public:
   // Executes `plan` over `fact` (the fact table of the caller's pinned
   // snapshot; aborts when null — the caller resolved an unknown name). When
-  // the plan joins, `right_override` must carry the joined table (a dimension
-  // snapshot or the sharded backend's broadcast replica). `scan_ranges`, when
+  // the plan joins, `right_override` must carry the joined table (its own
+  // part at one shard, or the broadcast replica). `scan_ranges`, when
   // non-null, restricts the fact-table scan to those row ranges (the pruned
   // round two; a probe's `surviving` goes here).
   EncryptedResponse Execute(const ServerPlan& plan, const Cluster& cluster,

@@ -41,15 +41,16 @@ struct SessionOptions {
   PaillierBackendOptions paillier;
 
   // Two-round probe-and-prune execution (src/seabed/probe.h). On kSeabed
-  // (standalone or as a caching inner) round one consults the server's
-  // row-group summaries and round two scans only surviving groups; on
-  // kShardedSeabed kForced extends the shard-level probe to every query.
-  // kPlain/kPaillier ignore it.
+  // and kShardedSeabed (standalone or as a caching inner) round one consults
+  // each shard's row-group summaries and round two scans only surviving
+  // groups; with two or more shards kForced also extends the shard-level
+  // count probe to every query. kPlain/kPaillier ignore it.
   ProbeOptions probe;
 
-  // Fan-out width of the kShardedSeabed backend (ignored by the others).
-  // Each shard is an independent Server holding a hash partition of every
-  // attached table; queries fan out and merge at the coordinator.
+  // Fan-out width of the kShardedSeabed backend. Fixed at 1 for kSeabed —
+  // the same engine at one shard — and ignored by the others. Each shard is
+  // an independent Server holding a partition of every attached table;
+  // queries fan out and merge at the coordinator.
   size_t shards = 4;
 
   // Row→shard placement of the kShardedSeabed backend (ignored by the
@@ -152,15 +153,17 @@ class Session {
   BackendKind backend_kind() const { return options_.backend; }
   Executor& executor() { return *executor_; }
 
-  // Snapshot of the cumulative shard-rebalancing moves, or nullopt on
-  // backends that never migrate rows (everything but kShardedSeabed / a
-  // caching wrapper over it). Safe to poll while appends run.
+  // Snapshot of the cumulative shard-rebalancing moves: all zeros on
+  // kSeabed (one shard never migrates rows), nullopt on kPlain/kPaillier (or
+  // a caching wrapper over one of them). Safe to poll while appends run.
   std::optional<RebalanceStats> rebalance_stats() const { return executor_->rebalance_stats(); }
 
   const AttachedTable& attached(const std::string& table) const { return catalog_.Get(table); }
   const EncryptionPlan& plan(const std::string& table) const;
   // The encrypted database the backend built for `table` (aborts on the
-  // plain backend, which has none).
+  // plain backend, which has none). On kSeabed it is the table's whole
+  // encrypted form; on a session with more than one shard it is the client
+  // view, whose `table` holds only shard 0's part.
   const EncryptedDatabase& encrypted_database(const std::string& table) const;
 
  private:

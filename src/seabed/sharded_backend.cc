@@ -59,6 +59,21 @@ void MergeDictionaries(const EncryptedDatabase& from, EncryptedDatabase& into) {
   into.det_value_types.insert(from.det_value_types.begin(), from.det_value_types.end());
 }
 
+// Makes rebalance successor `next` own shard `s`'s part objects (plaintext,
+// encrypted, probe index seeded from the shared one) before they grow;
+// `rebuilt[s]` marks shards it already owns.
+void OwnShard(ShardedTableVersion& next, size_t s, std::vector<char>& rebuilt) {
+  if (rebuilt[s]) {
+    return;
+  }
+  next.plain_parts[s] = DeepCopyTable(*next.plain_parts[s]);
+  next.parts[s].table = DeepCopyTable(*next.parts[s].table);  // dictionaries are by value
+  auto probe = std::make_shared<VersionProbeIndex>();
+  probe->SeedFrom(*next.probes[s], *next.parts[s].table);
+  next.probes[s] = std::move(probe);
+  rebuilt[s] = 1;
+}
+
 // Keeps an ORE winner if `src` beats it (or `dst` has none yet).
 void ReduceMinMax(ServerAggregate::Kind kind, const ServerAggResult& src, ServerAggResult& dst) {
   if (!src.minmax_valid) {
@@ -144,9 +159,12 @@ EncryptedResponse MergeShardResponses(const ServerPlan& plan,
 
 }  // namespace
 
-ShardedSeabedBackend::ShardedSeabedBackend(const ExecutionContext* context, size_t shards)
+ShardedSeabedBackend::ShardedSeabedBackend(const ExecutionContext* context, size_t shards,
+                                           const char* name)
     : context_(context),
       shards_(shards),
+      name_(name),
+      can_rebalance_(context->rebalance.enabled && shards >= 2),
       servers_(shards),
       pool_(std::min<size_t>(std::max<size_t>(shards, 1),
                              std::max<unsigned>(1, std::thread::hardware_concurrency()))) {
@@ -220,16 +238,9 @@ std::vector<size_t> ShardedSeabedBackend::ShardRowCounts(const std::string& tabl
   SEABED_CHECK_MSG(version != nullptr, "table " << table << " was not prepared for sharding");
   std::vector<size_t> counts(shards_);
   for (size_t s = 0; s < shards_; ++s) {
-    counts[s] = version->plain_parts[s]->NumRows();
+    counts[s] = version->parts[s].table->NumRows();
   }
   return counts;
-}
-
-uint64_t ShardedSeabedBackend::probe_index_builds(const std::string& table, size_t shard) const {
-  SEABED_CHECK(shard < shards_);
-  EpochDomain::Guard guard(epochs_);
-  const ShardedTableVersion* version = CurrentVersion(table);
-  return version == nullptr ? 0 : version->probes[shard]->builds();
 }
 
 void ShardedSeabedBackend::EnsureReplica(const AttachedTable& right) {
@@ -271,39 +282,58 @@ void ShardedSeabedBackend::Prepare(AttachedTable& table) {
   // default; contiguous clustering-key quantiles for tables configured
   // kKeyRange). The policy and its boundary metadata become part of the
   // published version, so routing and later appends read placement state
-  // consistent with the parts they touch.
+  // consistent with the parts they touch. One shard holds every row: there
+  // is nothing to partition or route, so it places by hash.
   const Placement placement =
-      Placement::Resolve(context_->placement, table.name, *table.plain, shards_);
-  const std::vector<std::vector<size_t>> assignment = placement.PartitionRows(*table.plain);
+      shards_ == 1 ? Placement(PlacementPolicy::kHash, "", 1)
+                   : Placement::Resolve(context_->placement, table.name, *table.plain, shards_);
+  std::vector<std::vector<size_t>> assignment;
+  if (shards_ > 1) {
+    assignment = placement.PartitionRows(*table.plain);
+  }
   version->placement = placement.policy();
   version->clustering_column = placement.clustering_column();
   version->boundaries = placement.InitialBoundaries(*table.plain, assignment);
 
-  version->plain_parts.resize(shards_);
+  if (can_rebalance_) {
+    version->plain_parts.resize(shards_);
+  }
   version->parts.resize(shards_);
   version->probes.resize(shards_);
   // Shard encryptions are independent (shared inputs are const) — build
   // them concurrently on the fan-out pool so attach cost does not grow
-  // linearly with the shard count.
+  // linearly with the shard count. A lone shard encrypts the attached table
+  // itself; otherwise each shard's rows are copied out first, and that copy
+  // is kept only when rebalancing may re-encrypt from it.
   pool_.ParallelFor(shards_, [&](size_t s) {
-    version->plain_parts[s] =
+    if (shards_ == 1) {
+      version->parts[s] = encryptor.EncryptWithBaseId(*table.plain, table.schema, table.plan,
+                                                      ShardBaseId(s));
+      return;
+    }
+    std::shared_ptr<Table> rows =
         SubsetRows(*table.plain, table.name + "#shard" + std::to_string(s), assignment[s]);
-    version->parts[s] = encryptor.EncryptWithBaseId(*version->plain_parts[s], table.schema,
-                                                    table.plan, ShardBaseId(s));
+    version->parts[s] =
+        encryptor.EncryptWithBaseId(*rows, table.schema, table.plan, ShardBaseId(s));
+    if (can_rebalance_) {
+      version->plain_parts[s] = std::move(rows);
+    }
   });
   for (size_t s = 0; s < shards_; ++s) {
     version->probes[s] = std::make_shared<VersionProbeIndex>();
   }
 
-  // The client-side view: one plan (identical across shards) plus the union
-  // of the shards' DET dictionaries, so group keys produced by any shard
-  // render back to plaintext.
-  version->view.plan = version->parts.front().plan;
-  version->view.table = version->parts.front().table;
-  for (const EncryptedDatabase& part : version->parts) {
-    MergeDictionaries(part, version->view);
+  // The client-side view of a multi-shard table: one plan (identical across
+  // shards) plus the union of the shards' DET dictionaries, so group keys
+  // produced by any shard render back to plaintext.
+  if (shards_ > 1) {
+    version->view.plan = version->parts.front().plan;
+    version->view.table = version->parts.front().table;
+    for (const EncryptedDatabase& part : version->parts) {
+      MergeDictionaries(part, version->view);
+    }
   }
-  table.enc = version->view;
+  table.enc = version->ClientView();
 
   Publish(StateFor(table.name), std::move(version));
 }
@@ -331,7 +361,7 @@ void ShardedSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
 
   // The attached plaintext table has no snapshot readers (encrypted Execute
   // never touches it); grow it in place for the session's own accessors.
-  GrowPlainTable(*table.plain, new_rows, nullptr);
+  GrowPlainTable(*table.plain, new_rows);
 
   // Row→shard assignment is the placement policy's call. Hash placement
   // keeps append locality: the whole batch lands on the shard that owns its
@@ -359,9 +389,13 @@ void ShardedSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
       owned = SubsetRows(new_rows, table.name + "#append", assignment[dest]);
       segment = owned.get();
     }
-    next->plain_parts[dest] = DeepCopyTable(*old->plain_parts[dest]);
-    GrowPlainTable(*next->plain_parts[dest], *segment, nullptr);
-    next->parts[dest] = CopyEncryptedDatabase(old->parts[dest]);
+    if (can_rebalance_) {
+      next->plain_parts[dest] = DeepCopyTable(*old->plain_parts[dest]);
+      GrowPlainTable(*next->plain_parts[dest], *segment);
+    }
+    // `next` already holds the part's plan and dictionaries by value; only
+    // its table is still shared with `old`.
+    next->parts[dest].table = DeepCopyTable(*old->parts[dest].table);
     encryptor.AppendRows(next->parts[dest], *segment, table.schema);
     auto dest_probe = std::make_shared<VersionProbeIndex>();
     dest_probe->SeedFrom(*old->probes[dest], *next->parts[dest].table);
@@ -372,20 +406,24 @@ void ShardedSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
     rebuilt[dest] = 1;
   }
 
-  // Appends may mint new DET tokens (dictionary growth); refresh the view.
-  next->view.table = next->parts.front().table;
-  for (size_t dest = 0; dest < shards_; ++dest) {
-    if (rebuilt[dest]) {
-      MergeDictionaries(next->parts[dest], next->view);
+  // Appends may mint new DET tokens (dictionary growth); refresh the merged
+  // view of a multi-shard table.
+  if (shards_ > 1) {
+    for (size_t dest = 0; dest < shards_; ++dest) {
+      if (rebuilt[dest]) {
+        MergeDictionaries(next->parts[dest], next->view);
+      }
     }
   }
   const double encrypt_seconds = append_sw.ElapsedSeconds();
   const uint64_t moved_before = rebalance_stats_.rows_moved;
   MaybeRebalance(table, *next, encryptor, rebuilt);
-  next->view.table = next->parts.front().table;  // rebalance may replace part 0
+  if (shards_ > 1) {
+    next->view.table = next->parts.front().table;  // append or rebalance may replace part 0
+  }
 
   SEABED_CHECK(table.enc.has_value());
-  table.enc = next->view;  // session-visible merged view
+  table.enc = next->ClientView();  // session-visible client view
   if (stats != nullptr) {
     // The ingest prices as two fabric stages, mirroring how the real system
     // would run it: an encrypt-and-append job over the batch's row ranges,
@@ -411,17 +449,10 @@ void ShardedSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
 void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTableVersion& next,
                                           const Encryptor& encryptor,
                                           std::vector<char>& rebuilt) {
+  if (!can_rebalance_) {
+    return;
+  }
   const ShardRebalanceOptions& opts = context_->rebalance;
-  if (!opts.enabled || shards_ < 2) {
-    return;
-  }
-  if (next.placement == PlacementPolicy::kKeyRange) {
-    // Key-range tables rebalance by boundary moves between key-space
-    // neighbors — migrating arbitrary row-groups anywhere would shred the
-    // contiguous owning ranges routing depends on.
-    MaybeRebalanceKeyRange(table, next, encryptor, rebuilt);
-    return;
-  }
   const size_t group = std::max<size_t>(1, opts.row_group_size);
 
   std::vector<size_t> counts(shards_);
@@ -437,6 +468,13 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
   // Below one whole row-group of surplus there is nothing movable, whatever
   // the ratio says.
   const double trigger = std::max(ideal * opts.max_skew_ratio, ideal + static_cast<double>(group));
+  if (next.placement == PlacementPolicy::kKeyRange) {
+    // Key-range tables rebalance by boundary moves between key-space
+    // neighbors — migrating arbitrary row-groups anywhere would shred the
+    // contiguous owning ranges routing depends on.
+    MaybeRebalanceKeyRange(table, next, encryptor, rebuilt, std::move(counts), ideal, trigger);
+    return;
+  }
 
   // Plan the moves on row counts first (cheap), then execute with a single
   // donor re-encryption per donor. Every move carves whole row-groups off
@@ -496,14 +534,7 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
     // Recipients grow, so `next` must own their part objects before the
     // first row lands (donors are only read here — replaced wholesale
     // below — and need no copy).
-    if (!rebuilt[move.recipient]) {
-      next.plain_parts[move.recipient] = DeepCopyTable(*next.plain_parts[move.recipient]);
-      next.parts[move.recipient] = CopyEncryptedDatabase(next.parts[move.recipient]);
-      auto probe = std::make_shared<VersionProbeIndex>();
-      probe->SeedFrom(*next.probes[move.recipient], *next.parts[move.recipient].table);
-      next.probes[move.recipient] = std::move(probe);
-      rebuilt[move.recipient] = 1;
-    }
+    OwnShard(next, move.recipient, rebuilt);
     // Re-encrypting into the recipient's identifier space is the canonical
     // append path: AppendRows continues the recipient's contiguous ASHE run,
     // so identifier spaces stay disjoint and merge semantics are untouched.
@@ -513,7 +544,7 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
     std::iota(rows.begin(), rows.end(), tail[move.donor] - move.rows);
     const auto segment =
         SubsetRows(*next.plain_parts[move.donor], table.name + "#migrate", rows);
-    GrowPlainTable(*next.plain_parts[move.recipient], *segment, nullptr);
+    GrowPlainTable(*next.plain_parts[move.recipient], *segment);
     encryptor.AppendRows(next.parts[move.recipient], *segment, table.schema);
     tail[move.donor] -= move.rows;
     rebalance_stats_.rows_moved += move.rows;
@@ -550,22 +581,11 @@ void ShardedSeabedBackend::MaybeRebalance(const AttachedTable& table, ShardedTab
 void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
                                                   ShardedTableVersion& next,
                                                   const Encryptor& encryptor,
-                                                  std::vector<char>& rebuilt) {
-  const ShardRebalanceOptions& opts = context_->rebalance;
-  const size_t group = std::max<size_t>(1, opts.row_group_size);
+                                                  std::vector<char>& rebuilt,
+                                                  std::vector<size_t> counts, double ideal,
+                                                  double trigger) {
+  const size_t group = std::max<size_t>(1, context_->rebalance.row_group_size);
   const Placement placement(PlacementPolicy::kKeyRange, next.clustering_column, shards_);
-
-  std::vector<size_t> counts(shards_);
-  size_t total = 0;
-  for (size_t s = 0; s < shards_; ++s) {
-    counts[s] = next.plain_parts[s]->NumRows();
-    total += counts[s];
-  }
-  if (total == 0) {
-    return;
-  }
-  const double ideal = static_cast<double>(total) / static_cast<double>(shards_);
-  const double trigger = std::max(ideal * opts.max_skew_ratio, ideal + static_cast<double>(group));
 
   // Plan boundary moves on row counts (deterministic — same trigger
   // arithmetic as the hash arm). The recipient is constrained to a key-space
@@ -664,14 +684,7 @@ void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
         return ka != kb ? ka < kb : a < b;
       });
     }
-    if (!rebuilt[move.recipient]) {
-      next.plain_parts[move.recipient] = DeepCopyTable(*next.plain_parts[move.recipient]);
-      next.parts[move.recipient] = CopyEncryptedDatabase(next.parts[move.recipient]);
-      auto probe = std::make_shared<VersionProbeIndex>();
-      probe->SeedFrom(*next.probes[move.recipient], *next.parts[move.recipient].table);
-      next.probes[move.recipient] = std::move(probe);
-      rebuilt[move.recipient] = 1;
-    }
+    OwnShard(next, move.recipient, rebuilt);
     // The boundary segment: the donor's `rows` smallest (or largest) not-yet-
     // taken keys, restored to row order so the moved slice keeps its relative
     // time order inside the recipient. Re-encrypting into the recipient's
@@ -688,7 +701,7 @@ void ShardedSeabedBackend::MaybeRebalanceKeyRange(const AttachedTable& table,
     std::sort(segment_rows.begin(), segment_rows.end());
     const auto segment =
         SubsetRows(*next.plain_parts[move.donor], table.name + "#migrate", segment_rows);
-    GrowPlainTable(*next.plain_parts[move.recipient], *segment, nullptr);
+    GrowPlainTable(*next.plain_parts[move.recipient], *segment);
     if (!was_donor[move.recipient]) {
       encryptor.AppendRows(next.parts[move.recipient], *segment, table.schema);
     }
@@ -740,68 +753,7 @@ std::vector<EncryptedResponse> ShardedSeabedBackend::FanOut(const ShardedTableVe
 }
 
 ResultSet ShardedSeabedBackend::Execute(const Query& query, QueryStats* stats) {
-  const AttachedTable& fact = context_->catalog->Get(query.table);
-
-  // Joins need the right table's broadcast replica. Guarantee it exists
-  // BEFORE pinning: replica presence is monotone across versions, so any
-  // version pinned after EnsureReplica returns carries one consistent with
-  // its own rows.
-  if (query.join.has_value()) {
-    EnsureReplica(context_->catalog->Get(query.join->right_table));
-  }
-
-  // Pin this query's snapshot: every part table, probe index and replica
-  // resolved below belongs to versions published before this point and
-  // stays alive until the guard drops — an overlapping append is invisible.
-  EpochDomain::Guard guard(epochs_);
-  const ShardedTableVersion* ver = CurrentVersion(query.table);
-  SEABED_CHECK_MSG(ver != nullptr, "table " << fact.name << " was not prepared");
-
-  // One translation serves every shard: the shards share the encryption
-  // plan, keys and table name, so the server plan is identical across the
-  // fleet. Repeated dashboard shapes skip it entirely via the shared plan
-  // cache (installed by the caching decorator; nullptr otherwise).
-  Stopwatch translate_sw;
-  TranslatorOptions topts = context_->translator;
-  topts.cluster_workers = context_->cluster->num_workers();
-  std::shared_ptr<const TranslatedQuery> cached_tq;
-  bool plan_cache_hit = false;
-  std::string plan_key;
-  if (plan_cache_ != nullptr) {
-    plan_key = PlanCacheKey(query, topts);
-    cached_tq = plan_cache_->Find(plan_key);
-    plan_cache_hit = cached_tq != nullptr;
-  }
-  if (cached_tq == nullptr) {
-    const Translator translator(ver->view, *context_->keys);
-    cached_tq = std::make_shared<TranslatedQuery>(translator.Translate(query, topts));
-    if (plan_cache_ != nullptr) {
-      plan_cache_->Insert(plan_key, cached_tq);
-    }
-  }
-  const TranslatedQuery& tq = *cached_tq;
-
-  // Joins broadcast the full replica: every shard joins its partition
-  // against the whole right table, handed to the servers directly from the
-  // right table's pinned version.
-  const EncryptedDatabase* right_db = nullptr;
-  const Table* right_table = nullptr;
-  if (tq.server.join.has_value()) {
-    const ShardedTableVersion* rver = CurrentVersion(query.join->right_table);
-    SEABED_CHECK_MSG(rver != nullptr,
-                     "joined table " << query.join->right_table << " not prepared");
-    SEABED_CHECK(rver->replica != nullptr);
-    right_db = rver->replica.get();
-    right_table = right_db->table.get();
-  }
-  const double translate_seconds = translate_sw.ElapsedSeconds();
-
-  ResultSet result = RunTranslated(query, fact, ver, right_db, right_table, tq, stats);
-  if (stats != nullptr) {
-    stats->translate_seconds = translate_seconds;
-    stats->plan_cache_hit = plan_cache_hit;
-  }
-  return result;
+  return Run(query, nullptr, {}, stats);
 }
 
 ResultSet ShardedSeabedBackend::ExecutePrepared(const PreparedQuery& prepared,
@@ -809,65 +761,105 @@ ResultSet ShardedSeabedBackend::ExecutePrepared(const PreparedQuery& prepared,
                                                 QueryStats* stats) {
   SEABED_CHECK_MSG(prepared.valid(), "ExecutePrepared on an invalid (default) handle");
   if (!prepared.parameterized()) {
-    // A placeholder rides on a SPLASHE column: bind, then run the ad-hoc
-    // path (the base implementation reports prepared/bind stats).
+    // A placeholder rides on a SPLASHE column: its rewrite depends on the
+    // literal value, so the shape cannot be translated once. Bind, then run
+    // the ad-hoc path (the base implementation reports prepared/bind stats).
     return Executor::ExecutePrepared(prepared, params, stats);
   }
-  const Query& shape = prepared.shape();
+  return Run(prepared.shape(), &prepared, params, stats);
+}
+
+ResultSet ShardedSeabedBackend::Run(const Query& shape, const PreparedQuery* prepared,
+                                    std::span<const Value> params, QueryStats* stats) {
   const AttachedTable& fact = context_->catalog->Get(shape.table);
-  if (shape.join.has_value()) {
+
+  // A prepared call still materializes the bound Query — the probe gates
+  // estimate selectivity from the literals — but it is a plain struct copy,
+  // not a parse or a translation.
+  double bind_seconds = 0;
+  std::optional<Query> bound;
+  if (prepared != nullptr) {
+    Stopwatch bind_sw;
+    bound = prepared->Bind(params);
+    bind_seconds = bind_sw.ElapsedSeconds();
+  }
+  const Query& query = bound.has_value() ? *bound : shape;
+
+  // A multi-shard join needs the right table's broadcast replica. Guarantee
+  // it exists BEFORE pinning: replica presence is monotone across versions,
+  // so any version pinned after EnsureReplica returns carries one consistent
+  // with its own rows.
+  if (shape.join.has_value() && shards_ > 1) {
     EnsureReplica(context_->catalog->Get(shape.join->right_table));
   }
 
-  // The bound Query is still materialized per call — the intra-shard prune
-  // gate estimates selectivity from the literals — but it is a plain struct
-  // copy, not a parse or a translation.
-  Stopwatch bind_sw;
-  const Query bound = prepared.Bind(params);
-  double bind_seconds = bind_sw.ElapsedSeconds();
-
+  // Pin this query's snapshot: every part table, probe index and replica
+  // resolved below belongs to versions published before this point and
+  // stays alive until the guard drops — an overlapping append is invisible.
   EpochDomain::Guard guard(epochs_);
   const ShardedTableVersion* ver = CurrentVersion(shape.table);
   SEABED_CHECK_MSG(ver != nullptr, "table " << fact.name << " was not prepared");
 
-  // One translation per shape, shared by the whole fleet: the handle carries
-  // the fingerprint half of the plan key, so a warm call is one map lookup.
+  // The join's right side comes from the right table's own pinned version:
+  // its lone part at one shard, else the replica every shard joins against.
+  // Resolved before the plan-cache probe because decryption needs it on
+  // hits too.
   Stopwatch translate_sw;
-  TranslatorOptions topts = context_->translator;
-  topts.cluster_workers = context_->cluster->num_workers();
-  TranslatedPlanCache& cache = plan_cache_ != nullptr ? *plan_cache_ : own_plan_cache_;
-  const std::string plan_key =
-      prepared.plan_key_base() + PlanCacheKeySuffix(shape.expected_groups, topts);
-  std::shared_ptr<const TranslatedQuery> shape_tq = cache.Find(plan_key);
-  const bool plan_cache_hit = shape_tq != nullptr;
-  if (shape_tq == nullptr) {
-    const Translator translator(ver->view, *context_->keys);
-    shape_tq = std::make_shared<TranslatedQuery>(translator.Translate(shape, topts));
-    cache.Insert(plan_key, shape_tq);
-  }
-
   const EncryptedDatabase* right_db = nullptr;
-  const Table* right_table = nullptr;
-  if (shape_tq->server.join.has_value()) {
+  if (shape.join.has_value()) {
     const ShardedTableVersion* rver = CurrentVersion(shape.join->right_table);
     SEABED_CHECK_MSG(rver != nullptr,
                      "joined table " << shape.join->right_table << " not prepared");
-    SEABED_CHECK(rver->replica != nullptr);
-    right_db = rver->replica.get();
-    right_table = right_db->table.get();
+    right_db = shards_ == 1 ? &rver->parts.front() : rver->replica.get();
+    SEABED_CHECK(right_db != nullptr);
+  }
+
+  // One translation serves every shard: the shards share the encryption
+  // plan, keys and table name, so the server plan is identical across the
+  // fleet. An ad-hoc query consults only an installed plan cache (the
+  // caching decorator's or a Service's); a prepared shape falls back to the
+  // backend's own, keyed by the handle's fingerprint so a warm call is one
+  // map lookup away from its plan.
+  TranslatorOptions topts = context_->translator;
+  topts.cluster_workers = context_->cluster->num_workers();
+  TranslatedPlanCache* cache = plan_cache_.get();
+  if (cache == nullptr && prepared != nullptr) {
+    cache = &own_plan_cache_;
+  }
+  std::string plan_key;
+  std::shared_ptr<const TranslatedQuery> tq;
+  if (cache != nullptr) {
+    plan_key = prepared != nullptr
+                   ? prepared->plan_key_base() + PlanCacheKeySuffix(shape.expected_groups, topts)
+                   : PlanCacheKey(shape, topts);
+    tq = cache->Find(plan_key);
+  }
+  const bool plan_cache_hit = tq != nullptr;
+  if (tq == nullptr) {
+    const Translator translator(ver->ClientView(), *context_->keys);
+    tq = std::make_shared<TranslatedQuery>(translator.Translate(shape, topts));
+    if (cache != nullptr) {
+      cache->Insert(plan_key, tq);
+    }
   }
   const double translate_seconds = translate_sw.ElapsedSeconds();
 
-  Stopwatch plan_bind_sw;
-  const TranslatedQuery bound_tq = BindTranslatedQuery(*shape_tq, params);
-  bind_seconds += plan_bind_sw.ElapsedSeconds();
-
-  ResultSet result = RunTranslated(bound, fact, ver, right_db, right_table, bound_tq, stats);
+  ResultSet result;
+  if (prepared != nullptr) {
+    Stopwatch plan_bind_sw;
+    const TranslatedQuery bound_tq = BindTranslatedQuery(*tq, params);
+    bind_seconds += plan_bind_sw.ElapsedSeconds();
+    result = RunTranslated(query, fact, ver, right_db, bound_tq, stats);
+  } else {
+    result = RunTranslated(query, fact, ver, right_db, *tq, stats);
+  }
   if (stats != nullptr) {
     stats->translate_seconds = translate_seconds;
     stats->plan_cache_hit = plan_cache_hit;
-    stats->prepared = true;
-    stats->bind_seconds = bind_seconds;
+    if (prepared != nullptr) {
+      stats->prepared = true;
+      stats->bind_seconds = bind_seconds;
+    }
   }
   return result;
 }
@@ -875,12 +867,12 @@ ResultSet ShardedSeabedBackend::ExecutePrepared(const PreparedQuery& prepared,
 ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const AttachedTable& fact,
                                               const ShardedTableVersion* ver,
                                               const EncryptedDatabase* right_db,
-                                              const Table* right_table,
                                               const TranslatedQuery& tq, QueryStats* stats) {
-  // Round one: probe all shards with a cheap row count (the shared
+  // Round one: probe the routed shards with a cheap row count (the shared
   // CountProbePlan, src/seabed/probe.h); round two then skips shards with no
-  // matching rows. Two-round-trip queries always probe (the PR-2 contract);
-  // ProbeMode::kForced extends the probe to every query.
+  // matching rows. Two-round-trip queries always probe; ProbeMode::kForced
+  // extends the probe to every query.
+  const Table* right_table = right_db == nullptr ? nullptr : right_db->table.get();
   const ProbeOptions& popts = context_->probe;
   std::vector<bool> active(shards_, true);
   std::vector<double> shard_probe_seconds(shards_, 0.0);
@@ -908,12 +900,12 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
 
   // kForced is still gated on the plan being prunable at the shard level —
   // without a predicate or join every non-empty shard reports matches and
-  // the probe round is a second full fan-out for nothing. (Client-flagged
-  // two-round queries keep probing unconditionally: the PR-2 contract.)
-  // A query routed to zero shards skips the probe round outright: round two
-  // is already decided.
+  // the probe round is a second full fan-out for nothing. Either way the
+  // round needs two or more routed shards: with none, round two is already
+  // decided, and a lone shard's round two is decided by its row-group probe
+  // below, exactly as on a single server.
   const bool shard_prunable = !tq.server.predicates.empty() || tq.server.join.has_value();
-  if (shards_routed > 0 &&
+  if (shards_routed > 1 &&
       (query.needs_two_round_trips ||
        (popts.mode == ProbeMode::kForced && shard_prunable))) {
     shard_probe_used = true;
@@ -929,70 +921,69 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
     }
   }
 
-  // Intra-shard pruning gate — the same adaptive rule SeabedBackend applies:
-  // the plan must be prunable at row-group granularity, and either the mode
-  // forces it, the client flagged the two-round path, or the planner's
-  // selectivity estimate predicts a win.
+  // Intra-shard pruning gate: the plan must be prunable at row-group
+  // granularity, and either the mode forces it, the client flagged the
+  // two-round path, or the planner's selectivity estimate predicts a win.
   bool intra_prune = false;
   if (popts.mode != ProbeMode::kOff && tq.probe.prunable) {
     intra_prune = popts.mode == ProbeMode::kForced || query.needs_two_round_trips ||
                   EstimateFilterSelectivity(query, fact.schema) <= popts.auto_selectivity_threshold;
   }
 
-  bool any_active = false;
-  for (size_t s = 0; s < shards_; ++s) {
-    any_active = any_active || active[s];
-  }
-
+  // Round two, pruned inside each routed, surviving shard: the shard's
+  // Server evaluates the plan's ProbeSection against its row-group summary
+  // index and scans only the surviving ranges (Execute(scan_ranges)). Shards
+  // whose index rules out every group skip the scan.
+  std::vector<EncryptedResponse> responses(shards_);
+  std::vector<ServerProbeResult> probes(shards_);
+  std::vector<char> probed(shards_, 0);
+  std::vector<char> answered(shards_, 0);
+  pool_.ParallelFor(shards_, [&](size_t s) {
+    if (!active[s]) {
+      return;
+    }
+    const std::vector<RowRange>* scan_ranges = nullptr;
+    if (intra_prune) {
+      probes[s] = ver->probes[s]->Probe(*ver->parts[s].table, tq.probe, popts.row_group_size);
+      probed[s] = 1;
+      if (probes[s].surviving.empty()) {
+        return;  // shard-local zero match: no round-two scan here
+      }
+      scan_ranges = &probes[s].surviving;
+    }
+    responses[s] = servers_[s].Execute(tq.server, *context_->cluster,
+                                       ver->parts[s].table.get(), right_table, scan_ranges);
+    answered[s] = 1;
+  });
   std::vector<double> shard_round_two_seconds(shards_, 0.0);
-  EncryptedResponse merged;
-  double merge_seconds = 0;
   bool intra_probed = false;
   uint64_t row_groups_total = 0;
   uint64_t row_groups_pruned = 0;
-  if (!any_active) {
-    // Zero-match short-circuit (mirrors SeabedBackend): no shard holds a
-    // matching row, so round two never fans out — the empty merged response
-    // decrypts to the same rows a zero-match scan produces (global
-    // aggregates still yield the SQL zero row).
-    merged = EncryptedResponse{};
-  } else {
-    // Round two, pruned inside each surviving shard: the shard's Server
-    // evaluates the plan's ProbeSection against its row-group summary index
-    // and scans only the surviving ranges — the same pruned-scan
-    // Execute(scan_ranges) path the single-server backend runs, now inside
-    // the fleet. Shards whose index rules out every group skip the scan.
-    std::vector<EncryptedResponse> responses(shards_);
-    std::vector<ServerProbeResult> probes(shards_);
-    std::vector<char> probed(shards_, 0);
-    pool_.ParallelFor(shards_, [&](size_t s) {
-      if (!active[s]) {
-        return;
-      }
-      const std::vector<RowRange>* scan_ranges = nullptr;
-      if (intra_prune) {
-        probes[s] = ver->probes[s]->Probe(*ver->parts[s].table, tq.probe, popts.row_group_size);
-        probed[s] = 1;
-        if (probes[s].surviving.empty()) {
-          return;  // shard-local zero match: no round-two scan here
-        }
-        scan_ranges = &probes[s].surviving;
-      }
-      responses[s] = servers_[s].Execute(tq.server, *context_->cluster,
-                                         ver->parts[s].table.get(), right_table, scan_ranges);
-    });
-    for (size_t s = 0; s < shards_; ++s) {
-      if (probed[s]) {
-        intra_probed = true;
-        row_groups_total += probes[s].total_groups;
-        row_groups_pruned += probes[s].pruned_groups;
-        shard_probe_seconds[s] += probes[s].seconds;
-      }
-      shard_round_two_seconds[s] = responses[s].ServerSeconds();
+  std::vector<EncryptedResponse> answers;
+  for (size_t s = 0; s < shards_; ++s) {
+    if (probed[s]) {
+      intra_probed = true;
+      row_groups_total += probes[s].total_groups;
+      row_groups_pruned += probes[s].pruned_groups;
+      shard_probe_seconds[s] += probes[s].seconds;
     }
+    if (answered[s]) {
+      shard_round_two_seconds[s] = responses[s].ServerSeconds();
+      answers.push_back(std::move(responses[s]));
+    }
+  }
 
+  // Coordinator merge. With no answer at all (zero-match short-circuit),
+  // the empty response decrypts to the same rows a zero-match scan produces
+  // (global aggregates still yield the SQL zero row); a lone answer is
+  // already the merged response.
+  EncryptedResponse merged;
+  double merge_seconds = 0;
+  if (answers.size() == 1) {
+    merged = std::move(answers.front());
+  } else if (answers.size() > 1) {
     Stopwatch merge_sw;
-    merged = MergeShardResponses(tq.server, responses);
+    merged = MergeShardResponses(tq.server, answers);
     merge_seconds = merge_sw.ElapsedSeconds();
     merged.driver_seconds += merge_seconds;
   }
@@ -1004,7 +995,7 @@ ResultSet ShardedSeabedBackend::RunTranslated(const Query& query, const Attached
   }
   const bool probe_used = shard_probe_used || intra_probed;
 
-  const Client client(ver->view, *context_->keys);
+  const Client client(ver->ClientView(), *context_->keys);
   ResultSet result = client.Decrypt(merged, tq, *context_->cluster, right_db, stats);
   if (stats != nullptr) {
     stats->backend = name();

@@ -1,4 +1,6 @@
-// Scale-out Seabed: N partitioned Server instances behind one Executor.
+// The Seabed execution engine: N partitioned Server instances behind one
+// Executor. BackendKind::kSeabed is this engine at one shard (reporting
+// itself as "seabed"), kShardedSeabed at SessionOptions::shards.
 //
 // The paper's Figure 7 sweeps cluster cores inside ONE simulated Spark
 // cluster; this backend adds the next axis — multiple servers. Attach
@@ -21,16 +23,28 @@
 //   * GROUP BY groups union-merge by serialized key;
 //   * ORE MIN/MAX reduce by comparing the shards' winners.
 //
-// Queries flagged `needs_two_round_trips` probe all shards with a cheap
-// row-count plan first and re-issue the full plan only to shards that
-// matched — round two touches a subset of the fleet. When no shard matches,
-// round two is skipped entirely (the empty merged response decrypts to the
-// same rows a zero-match scan produces). Inside surviving shards, round two
-// additionally consults each shard's row-group summary index (part of the
-// published snapshot: VersionProbeIndex, src/seabed/snapshot.h) under the
-// session's probe mode, so the pruned-scan Execute(scan_ranges) path runs
-// *within* shards and QueryStats::row_groups_total/pruned aggregate the
-// per-shard indexes.
+// The paper's single server is the one-partition case of that algebra, and
+// at one shard the engine does only the single server's work: the shard
+// encrypts the attached table itself (ASHE identifiers from 1), a join's
+// right side is the right table's own part (no replica), the client view is
+// that part (no merged dictionaries), the lone response is the merged one,
+// and placement is always hash (nothing to route).
+//
+// Queries flagged `needs_two_round_trips` probe the routed shards with a
+// cheap row-count plan first when more than one shard is routed, and
+// re-issue the full plan only to shards that matched — round two touches a
+// subset of the fleet. When no shard matches, round two is skipped entirely
+// (the empty merged response decrypts to the same rows a zero-match scan
+// produces). Inside surviving shards, round two additionally consults each
+// shard's row-group summary index (part of the published snapshot:
+// VersionProbeIndex, src/seabed/snapshot.h) under the session's probe mode,
+// so the pruned-scan Execute(scan_ranges) path runs *within* shards and
+// QueryStats::row_groups_total/pruned aggregate the per-shard indexes.
+//
+// Ad-hoc and prepared queries share one sequence: pin the snapshot, resolve
+// the fact and right-side versions, translate or hit the plan cache, bind,
+// run. An ad-hoc query is the zero-parameter case and consults only an
+// installed plan cache; a prepared one falls back to the backend's own.
 //
 // Concurrency: tables live in immutable published versions
 // (ShardedTableVersion). Execute pins the current version through an epoch
@@ -48,7 +62,9 @@
 // space (the canonical append path) and the donor's remainder into a fresh
 // disjoint slot, so identifiers are never reused across re-encryptions and
 // coordinator merge semantics are untouched. Moves accumulate in
-// RebalanceStats.
+// RebalanceStats. Only a backend that can rebalance (enabled, two or more
+// shards — both fixed at construction) keeps the per-shard plaintext
+// partitions migration re-encrypts from.
 //
 // Latency model: the shards are independent clusters of the session's
 // cluster shape running in parallel, so simulated server time is the slowest
@@ -62,21 +78,25 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "src/common/epoch.h"
 #include "src/common/thread_pool.h"
 #include "src/seabed/executor.h"
+#include "src/seabed/server.h"
 #include "src/seabed/snapshot.h"
 
 namespace seabed {
 
 class ShardedSeabedBackend : public Executor {
  public:
-  ShardedSeabedBackend(const ExecutionContext* context, size_t shards);
+  // `name` is what name() and QueryStats::backend report: MakeExecutor passes
+  // the BackendKindName of kSeabed (one shard) or kShardedSeabed.
+  ShardedSeabedBackend(const ExecutionContext* context, size_t shards, const char* name);
 
-  const char* name() const override { return "sharded-seabed"; }
+  const char* name() const override { return name_; }
   void Prepare(AttachedTable& table) override;
   void Append(AttachedTable& table, const Table& new_rows,
               JobStats* stats = nullptr) override;
@@ -98,8 +118,8 @@ class ShardedSeabedBackend : public Executor {
   // snapshot what you need before resuming mutation traffic.
   const EncryptedDatabase& shard_database(const std::string& table, size_t shard) const;
   // The full-table join replica of `table`'s current version, or nullptr
-  // while no join query has needed one. Same lifetime caveat as
-  // shard_database.
+  // while no join query has needed one (always, at one shard: the right
+  // side is the table's own part). Same lifetime caveat as shard_database.
   const EncryptedDatabase* replica_database(const std::string& table) const;
 
   // Per-shard row counts of `table`'s partitions, exposed so tests and
@@ -112,13 +132,6 @@ class ShardedSeabedBackend : public Executor {
   // deliberately skew — the partitioning. Key-range tables place by value
   // instead (see ShardedTableVersion::boundaries).
   size_t ShardOfRow(size_t row) const;
-
-  // Summary-build count of shard `shard`'s probe index in the current
-  // version (see VersionProbeIndex::builds).
-  uint64_t probe_index_builds(const std::string& table, size_t shard) const;
-
-  // Reclamation domain, exposed for tests that assert retired versions drain.
-  EpochDomain& epoch_domain() const { return epochs_; }
 
  private:
   struct TableState {
@@ -140,7 +153,7 @@ class ShardedSeabedBackend : public Executor {
   // Guarantees `right`'s published version carries a join replica, building
   // one (as a new version) on first use. Once a version has a replica every
   // later version does — appends grow a copy — so a reader that pins after
-  // this returns always finds one.
+  // this returns always finds one. Only called with two or more shards.
   void EnsureReplica(const AttachedTable& right);
 
   // Runs `plan` on every shard in `active` concurrently (skipped shards get
@@ -150,15 +163,22 @@ class ShardedSeabedBackend : public Executor {
                                         const ServerPlan& plan, const std::vector<bool>& active,
                                         const Table* right) const;
 
-  // Post-translation execution shared by the ad-hoc and prepared paths:
-  // shard count probe, intra-shard pruning, round-two fan-out, coordinator
-  // merge, client decryption, stats fill (except translate_seconds /
-  // plan_cache_hit — the callers own those). `query` must be fully bound;
-  // the caller holds the epoch guard that pins `ver`.
+  // The one query sequence behind Execute and ExecutePrepared: pin, resolve
+  // the fact and right-side versions, translate or hit the plan cache, bind,
+  // RunTranslated. `prepared` is null for an ad-hoc query (then `shape` is
+  // the query itself and `params` is empty), which consults only an
+  // installed plan cache; a prepared call falls back to own_plan_cache_.
+  ResultSet Run(const Query& shape, const PreparedQuery* prepared,
+                std::span<const Value> params, QueryStats* stats);
+
+  // Post-translation execution: shard count probe, intra-shard pruning,
+  // round-two fan-out, coordinator merge, client decryption, stats fill
+  // (except the translate/bind fields Run owns). `query` must be fully
+  // bound; the caller holds the epoch guard that pins `ver` and `right_db`
+  // (the join's right side, or nullptr).
   ResultSet RunTranslated(const Query& query, const AttachedTable& fact,
                           const ShardedTableVersion* ver, const EncryptedDatabase* right_db,
-                          const Table* right_table, const TranslatedQuery& tq,
-                          QueryStats* stats);
+                          const TranslatedQuery& tq, QueryStats* stats);
 
   // Migrates whole row-groups between shards when an Append left the fleet
   // skewed past `context_->rebalance.max_skew_ratio`. Operates on the
@@ -177,16 +197,24 @@ class ShardedSeabedBackend : public Executor {
   // re-encrypt into the recipient's identifier space via the canonical
   // append path and the donor's remainder into a fresh slot, exactly like
   // the hash arm; `next`'s boundary metadata is updated alongside the parts
-  // it describes, so the published version is self-consistent.
+  // it describes, so the published version is self-consistent. `counts`,
+  // `ideal` and `trigger` are MaybeRebalance's per-shard row counts and skew
+  // thresholds.
   void MaybeRebalanceKeyRange(const AttachedTable& table, ShardedTableVersion& next,
-                              const Encryptor& encryptor, std::vector<char>& rebuilt);
+                              const Encryptor& encryptor, std::vector<char>& rebuilt,
+                              std::vector<size_t> counts, double ideal, double trigger);
 
   const ExecutionContext* context_;
-  size_t shards_;
+  const size_t shards_;
+  const char* const name_;
+  // Whether Append can ever migrate rows (rebalancing enabled over two or
+  // more shards). Only then does a version keep `plain_parts`.
+  const bool can_rebalance_;
   std::shared_ptr<TranslatedPlanCache> plan_cache_;
   // Shape-plan memo for the prepared path when no external cache was
-  // installed (mirrors SeabedBackend::own_plan_cache_; the ad-hoc path
-  // ignores it).
+  // installed: Prepare+bind never retranslates per call even on a bare
+  // session. The ad-hoc path ignores it, so uncached Execute semantics (and
+  // its translate cost) stay as they are.
   TranslatedPlanCache own_plan_cache_{256};
   std::vector<Server> servers_;
   RebalanceStats rebalance_stats_;  // guarded by writer_mu_

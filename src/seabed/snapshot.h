@@ -7,7 +7,9 @@
 // version they started on through an `EpochDomain` guard (src/common/
 // epoch.h); the swapped-out version is retired into the domain and freed once
 // the last reader drains. The result: Execute takes no lock of any kind on
-// tables or row-group indexes, and appends never block queries.
+// tables or row-group indexes, and appends never block queries. Both Seabed
+// backend kinds publish the same version type, ShardedTableVersion: kSeabed
+// is the sharded engine at one shard (src/seabed/sharded_backend.h).
 //
 // The row-group probe index is part of the version rather than a
 // mutex-guarded side map keyed by table name. Because a version is immutable,
@@ -70,30 +72,28 @@ class VersionProbeIndex {
   mutable std::atomic<uint64_t> builds_{0};
 };
 
-// One published version of a single-server table: the encrypted database
-// (table + plan + DET dictionaries, all owned) and its probe index.
-struct TableVersion {
-  EncryptedDatabase enc;
-  VersionProbeIndex probe;
-};
-
-// One published version of a sharded table. Untouched shards share their
+// One published version of a table (src/seabed/sharded_backend.h; the
+// single-server backend is the one-shard case). Untouched shards share their
 // part tables and probe indexes with the parent version (shared_ptr); an
 // append deep-copies only the destination shard, a rebalance only the
 // donors/recipients it moves rows between.
 struct ShardedTableVersion {
+  // Plaintext of each shard's partition, the source rebalancing re-encrypts
+  // from. Kept only by backends that can rebalance; empty otherwise.
   std::vector<std::shared_ptr<Table>> plain_parts;
   std::vector<EncryptedDatabase> parts;
   std::vector<std::shared_ptr<VersionProbeIndex>> probes;  // parallel to parts
 
-  // Merged client-side view (dictionaries across all shards; table points at
-  // a representative part). Translator and Client read this.
+  // Merged client-side view of a multi-shard table (dictionaries across all
+  // shards; table points at a representative part). Unused at one shard,
+  // where the part itself is the view — read it through ClientView().
   EncryptedDatabase view;
 
   // Broadcast replica for joins: the whole table re-encrypted in the replica
-  // id space. Null until the first join; once a version carries a replica,
-  // every later version does (appends grow a copy), so join consistency is
-  // monotone.
+  // id space. Null until the first join on a multi-shard backend (and always
+  // at one shard, where a join reads parts[0]); once a version carries a
+  // replica, every later version does (appends grow a copy), so join
+  // consistency is monotone.
   std::shared_ptr<const EncryptedDatabase> replica;
 
   // Next fresh ASHE id-space slot for rebalance re-encryption.
@@ -107,6 +107,9 @@ struct ShardedTableVersion {
   PlacementPolicy placement = PlacementPolicy::kHash;
   std::string clustering_column;                // empty under kHash
   std::vector<ShardKeyBoundary> boundaries;     // parallel to parts
+
+  // What Translator and Client read: the merged view, or the lone part.
+  const EncryptedDatabase& ClientView() const { return parts.size() == 1 ? parts.front() : view; }
 };
 
 }  // namespace seabed

@@ -247,6 +247,39 @@ TEST(DeterminismTest, HashPlacementBytesUnchangedSinceCapture) {
   }
 }
 
+// The single-server counterpart: kSeabed is the sharded engine at one shard,
+// and its lone shard must upload the bytes the dedicated single-server
+// backend did — ASHE identifiers from 1, the `<table>#enc` name, the same
+// growth on Append. Captured from that backend; recapture the same way as
+// above, and only for an intentional encryption change.
+TEST(DeterminismTest, SingleServerBytesUnchangedSinceCapture) {
+  const Dataset d = MakeDataset();
+  Session a(OptionsFor(BackendKind::kSeabed, 7));
+  a.Attach(d.table, d.schema, d.samples);
+  EXPECT_EQ(Fnv1a(SerializeTable(*a.encrypted_database("emp").table)), 0xdbebca0e4b8ce5d0ULL)
+      << "attach";
+
+  auto batch = std::make_shared<Table>("emp");
+  auto country = std::make_shared<StringColumn>();
+  auto store = std::make_shared<StringColumn>();
+  auto ts = std::make_shared<Int64Column>();
+  auto salary = std::make_shared<Int64Column>();
+  Rng rng(17);
+  for (int i = 0; i < 70; ++i) {
+    country->Append(i % 2 == 0 ? "india" : "usa");
+    store->Append("s2");
+    ts->Append(static_cast<int64_t>(rng.Below(1000)));
+    salary->Append(rng.Range(0, 100000));
+  }
+  batch->AddColumn("country", country);
+  batch->AddColumn("store", store);
+  batch->AddColumn("ts", ts);
+  batch->AddColumn("salary", salary);
+  a.Append("emp", *batch);
+  EXPECT_EQ(Fnv1a(SerializeTable(*a.encrypted_database("emp").table)), 0xd12ce9d9e1bedb5bULL)
+      << "append";
+}
+
 TEST(DeterminismTest, HashRebalanceBytesUnchangedSinceCapture) {
   const Dataset d = MakeDataset();
   SessionOptions o = OptionsFor(BackendKind::kShardedSeabed, 55);

@@ -475,6 +475,56 @@ TEST_F(ProbeTest, AutoModeGatesOnSelectivityEstimate) {
   EXPECT_TRUE(run(range).probe_used);
 }
 
+// A client two-round hint on kSeabed — the sharded engine at one shard —
+// must leave the probe decision to the row-group index, exactly as a single
+// server decides it: a shard-level count round over the one shard would
+// report probe_used with a "row group" per shard, even under kOff and on
+// plans with nothing to prune. Expected values were captured from the
+// dedicated single-server backend before kSeabed became the one-shard engine.
+TEST_F(ProbeTest, TwoRoundHintOnOneServerKeepsRowGroupDecision) {
+  Query selective;
+  selective.table = "pt";
+  selective.Sum("value", "total").Count("n");
+  selective.Where("seg", CmpOp::kEq, std::string("d"));
+  Query zero = selective;
+  zero.filters[0].operand = std::string("nope");
+  Query unfiltered;
+  unfiltered.table = "pt";
+  unfiltered.Sum("value", "total");
+
+  struct Case {
+    ProbeMode mode;
+    const Query* query;
+    bool probe_used;
+    uint64_t row_groups_total;
+    uint64_t row_groups_pruned;
+  };
+  const Case cases[] = {
+      {ProbeMode::kOff, &selective, false, 0, 0},
+      {ProbeMode::kOff, &zero, false, 0, 0},
+      {ProbeMode::kOff, &unfiltered, false, 0, 0},
+      {ProbeMode::kAuto, &selective, true, 16, 15},
+      {ProbeMode::kAuto, &zero, true, 16, 16},
+      {ProbeMode::kAuto, &unfiltered, false, 0, 0},
+      {ProbeMode::kForced, &selective, true, 16, 15},
+      {ProbeMode::kForced, &zero, true, 16, 16},
+      {ProbeMode::kForced, &unfiltered, false, 0, 0},
+  };
+  ProbeOptions popts = seabed_.probe_options();
+  for (const Case& c : cases) {
+    Query q = *c.query;
+    q.needs_two_round_trips = true;
+    SCOPED_TRACE(std::string(ProbeModeName(c.mode)) + " " + q.Fingerprint());
+    popts.mode = c.mode;
+    seabed_.set_probe_options(popts);
+    QueryStats stats;
+    EXPECT_EQ(RowsAsStrings(seabed_.Execute(q, &stats)), Reference(q));
+    EXPECT_EQ(stats.probe_used, c.probe_used);
+    EXPECT_EQ(stats.row_groups_total, c.row_groups_total);
+    EXPECT_EQ(stats.row_groups_pruned, c.row_groups_pruned);
+  }
+}
+
 // --- probe-forced mini-fuzz (the sanitize job's cross-backend subset) --------
 
 class ProbeForcedMiniFuzz : public ::testing::TestWithParam<uint64_t> {};

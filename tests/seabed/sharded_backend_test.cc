@@ -565,7 +565,10 @@ TEST(ShardedConcurrencyTest, AppendDuringJoinQueriesIsSafe) {
             RowsAsStrings(plain.Execute(q, nullptr)));
 }
 
-// Joins resolve the right side against the full replica on every shard.
+// Joins resolve the right side against the full replica on every shard —
+// and, at one shard (kSeabed's engine), against the right table's own part,
+// with no replica ever built. Answers match the plaintext executor before
+// and after an append to each table.
 TEST(ShardedJoinTest, JoinAggregatesThroughTheReplica) {
   PlainSchema fact_schema;
   fact_schema.table_name = "visits";
@@ -578,33 +581,35 @@ TEST(ShardedJoinTest, JoinAggregatesThroughTheReplica) {
   dim_schema.columns.push_back({"rank", ColumnType::kInt64, true, std::nullopt});
   dim_schema.columns.push_back({"site", ColumnType::kString, false, std::nullopt});
 
-  auto fact = std::make_shared<Table>("visits");
-  auto dim = std::make_shared<Table>("pages");
-  {
+  auto make_fact = [](size_t rows, uint64_t seed) {
+    auto fact = std::make_shared<Table>("visits");
     auto url = std::make_shared<Int64Column>();
     auto revenue = std::make_shared<Int64Column>();
-    Rng rng(5);
-    for (int i = 0; i < 900; ++i) {
+    Rng rng(seed);
+    for (size_t i = 0; i < rows; ++i) {
       url->Append(static_cast<int64_t>(rng.Below(60)));
       revenue->Append(rng.Range(0, 300));
     }
     fact->AddColumn("url", url);
     fact->AddColumn("revenue", revenue);
-  }
-  {
+    return fact;
+  };
+  auto make_dim = [](int64_t first_url, size_t rows, uint64_t seed) {
+    auto dim = std::make_shared<Table>("pages");
     auto url = std::make_shared<Int64Column>();
     auto rank = std::make_shared<Int64Column>();
     auto site = std::make_shared<StringColumn>();
-    Rng rng(6);
-    for (int i = 0; i < 50; ++i) {
-      url->Append(i);
+    Rng rng(seed);
+    for (size_t i = 0; i < rows; ++i) {
+      url->Append(first_url + static_cast<int64_t>(i));
       rank->Append(rng.Range(1, 100));
       site->Append(i % 2 == 0 ? "a" : "b");
     }
     dim->AddColumn("url", url);
     dim->AddColumn("rank", rank);
     dim->AddColumn("site", site);
-  }
+    return dim;
+  };
 
   Query join_sample;
   join_sample.table = "visits";
@@ -615,37 +620,55 @@ TEST(ShardedJoinTest, JoinAggregatesThroughTheReplica) {
   dim_sample.Avg("rank");
   dim_sample.join = Join{"visits", "url", "right:url"};
 
-  Session plain(TestOptions(BackendKind::kPlain, 1));
-  Session sharded(TestOptions(BackendKind::kShardedSeabed, 3));
-  for (Session* s : {&plain, &sharded}) {
-    s->Attach(fact, fact_schema, {join_sample});
-    s->Attach(dim, dim_schema, {dim_sample});
-  }
-
   Query q = join_sample;
   q.aggregates.clear();
   q.Sum("revenue", "rev").Avg("right:rank", "mean_rank").Count("n");
   q.GroupBy("right:site");
 
-  auto& backend = static_cast<ShardedSeabedBackend&>(sharded.executor());
-  EXPECT_EQ(backend.replica_database("pages"), nullptr)
-      << "the replica must be built lazily, on the first join";
+  for (const size_t shards : {size_t{3}, size_t{1}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    Session plain(TestOptions(BackendKind::kPlain, 1));
+    Session sharded(TestOptions(BackendKind::kShardedSeabed, shards));
+    for (Session* s : {&plain, &sharded}) {
+      s->Attach(make_fact(900, 5), fact_schema, {join_sample});
+      s->Attach(make_dim(0, 50, 6), dim_schema, {dim_sample});
+    }
 
-  EXPECT_EQ(RowsAsStrings(sharded.Execute(q, nullptr)),
-            RowsAsStrings(plain.Execute(q, nullptr)));
+    auto& backend = static_cast<ShardedSeabedBackend&>(sharded.executor());
+    EXPECT_EQ(backend.replica_database("pages"), nullptr)
+        << "the replica must be built lazily, on the first join";
 
-  // The replica shares column keys with the shard partitions, so its ASHE
-  // identifier space must sit above every shard's — pad reuse across the
-  // two encryptions of the same table would leak plaintext differences.
-  const EncryptedDatabase* replica = backend.replica_database("pages");
-  ASSERT_NE(replica, nullptr);
-  const auto* replica_rank =
-      static_cast<const AsheColumn*>(replica->table->GetColumn("rank#ashe").get());
-  for (size_t s = 0; s < backend.num_shards(); ++s) {
-    const Table& part = *backend.shard_database("pages", s).table;
-    const auto* part_rank = static_cast<const AsheColumn*>(part.GetColumn("rank#ashe").get());
-    EXPECT_GT(replica_rank->IdOfRow(0), part_rank->IdOfRow(part_rank->RowCount() - 1))
-        << "shard " << s;
+    EXPECT_EQ(RowsAsStrings(sharded.Execute(q, nullptr)),
+              RowsAsStrings(plain.Execute(q, nullptr)));
+
+    // Appended rows on both sides must reach the join: new visits, and new
+    // pages (urls 50..59) that turn previously unmatched visits into matches.
+    const auto fact_batch = make_fact(40, 7);
+    const auto dim_batch = make_dim(50, 10, 8);
+    for (Session* s : {&plain, &sharded}) {
+      s->Append("visits", *fact_batch);
+      s->Append("pages", *dim_batch);
+    }
+    EXPECT_EQ(RowsAsStrings(sharded.Execute(q, nullptr)),
+              RowsAsStrings(plain.Execute(q, nullptr)));
+
+    const EncryptedDatabase* replica = backend.replica_database("pages");
+    if (shards == 1) {
+      EXPECT_EQ(replica, nullptr) << "one shard joins against its own part";
+      continue;
+    }
+    // The replica shares column keys with the shard partitions, so its ASHE
+    // identifier space must sit above every shard's — pad reuse across the
+    // two encryptions of the same table would leak plaintext differences.
+    ASSERT_NE(replica, nullptr);
+    const auto* replica_rank =
+        static_cast<const AsheColumn*>(replica->table->GetColumn("rank#ashe").get());
+    for (size_t s = 0; s < backend.num_shards(); ++s) {
+      const Table& part = *backend.shard_database("pages", s).table;
+      const auto* part_rank = static_cast<const AsheColumn*>(part.GetColumn("rank#ashe").get());
+      EXPECT_GT(replica_rank->IdOfRow(0), part_rank->IdOfRow(part_rank->RowCount() - 1))
+          << "shard " << s;
+    }
   }
 }
 
