@@ -1,31 +1,26 @@
-// "Figure 17" (beyond the paper): vectorized scan kernels vs the legacy
-// row-at-a-time server loop.
+// "Figure 17" (beyond the paper): the server's vectorized scan kernels.
 //
-// Server::Execute evaluates encrypted predicates over every row of the fact
-// table. The row-at-a-time loop pays a branchy per-row switch per predicate;
-// the vectorized path (src/seabed/scan_kernels.h) fills selection bitmaps a
-// row group at a time with SIMD compares over the contiguous ciphertext
-// columns — DET tokens and plain int64s 2-4 rows per compare, ORE via one
-// 16-byte equality that finds the first differing u-slot byte in a single
-// instruction instead of a byte walk.
+// Server::Execute evaluates encrypted predicates a row group at a time
+// (src/seabed/scan_kernels.h): each predicate fills a selection bitmap with
+// SIMD compares over the contiguous ciphertext columns — DET tokens and plain
+// int64s 2-4 rows per compare, ORE via one 16-byte equality that finds the
+// first differing u-slot byte in a single instruction instead of a byte walk.
+// A join runs on the same kernels: the right table's predicates filter its
+// rows before they enter the DET hash index, and the fact scan probes that
+// index with the rows that survive the fact-side predicates.
 //
-// This bench runs selective filter queries single-threaded under both scan
-// modes (SetServerScanMode A/Bs one binary) and gates on the median
-// server-time speedup:
+// This bench runs selective filter queries single-threaded and records each
+// point's server time as a regression record (scripts/compare_bench.py gates
+// it against bench/baseline/). Points: a DET equality, an ORE range, the two
+// combined, an ASHE sum over the DET selection, and a DET join under a
+// selective fact-side ORE window with one plain right-table filter.
 //
-//   * >= 4x on the DET-equality and ORE-range points when SIMD kernels are
-//     compiled in (ScanKernelIsaName() != "scalar");
-//   * >= 0.8x (no catastrophic regression) on a SEABED_NO_SIMD or
-//     unsupported-ISA build, where both paths are scalar and the columnar
-//     restructuring alone decides the ratio.
+// Single worker and zeroed cluster/link overheads: the kernels set per-row
+// scan cost, and fixed dispatch constants would only dilute it. Selectivities
+// are low (0.1-3%) so aggregation work stays small against the scan.
 //
-// Single worker and zeroed cluster/link overheads: the kernels change
-// per-row scan cost, and fixed dispatch constants identical across the two
-// modes would only dilute the ratio the gate checks. Selectivities are low
-// (0.1-3%) so aggregation work — identical in both modes — stays negligible
-// against the scan.
-//
-// Exit status is the CI gate.
+// Exit status is the correctness gate: every point's answer and rows_touched
+// must equal a kPlain session's over the same tables.
 #include <algorithm>
 #include <cstdio>
 #include <string>
@@ -52,12 +47,20 @@ constexpr struct {
     {"rare", 0.001}, {"s1", 0.049}, {"s2", 0.15}, {"s3", 0.30}, {"s4", 0.50},
 };
 
+// Join keys of the fact table are drawn from [0, kFactKeys); the right table
+// repeats keys and also holds keys in [kFactKeys, kDimKeys) that match nothing.
+constexpr int64_t kFactKeys = 10000;
+constexpr int64_t kDimKeys = 12000;
+constexpr size_t kDimRows = 20000;
+
 std::shared_ptr<Table> MakeTable(uint64_t rows) {
   auto table = std::make_shared<Table>("scan");
   auto seg = std::make_shared<StringColumn>();
   auto ts = std::make_shared<Int64Column>();
   auto value = std::make_shared<Int64Column>();
+  auto key = std::make_shared<Int64Column>();
   Rng rng(1717);
+  Rng key_rng(1718);  // own stream: the other columns match earlier records
   for (uint64_t i = 0; i < rows; ++i) {
     double draw = rng.NextDouble();
     const char* chosen = kSegments[std::size(kSegments) - 1].seg;
@@ -71,10 +74,26 @@ std::shared_ptr<Table> MakeTable(uint64_t rows) {
     seg->Append(chosen);
     ts->Append(kTsPivot + rng.Range(0, kTsSpan - 1));
     value->Append(rng.Range(0, 1000));
+    key->Append(static_cast<int64_t>(key_rng.Below(kFactKeys)));
   }
   table->AddColumn("seg", seg);
   table->AddColumn("ts", ts);
   table->AddColumn("value", value);
+  table->AddColumn("key", key);
+  return table;
+}
+
+std::shared_ptr<Table> MakeDimTable() {
+  auto table = std::make_shared<Table>("dims");
+  auto key = std::make_shared<Int64Column>();
+  auto w = std::make_shared<Int64Column>();
+  Rng rng(1719);
+  for (size_t i = 0; i < kDimRows; ++i) {
+    key->Append(static_cast<int64_t>(rng.Below(kDimKeys)));
+    w->Append(static_cast<int64_t>(rng.Below(100)));
+  }
+  table->AddColumn("key", key);
+  table->AddColumn("w", w);
   return table;
 }
 
@@ -89,12 +108,34 @@ PlainSchema ScanSchema() {
   schema.columns.push_back({"seg", ColumnType::kString, true, dist});
   schema.columns.push_back({"ts", ColumnType::kInt64, true, std::nullopt});
   schema.columns.push_back({"value", ColumnType::kInt64, true, std::nullopt});
+  schema.columns.push_back({"key", ColumnType::kInt64, true, std::nullopt});
   return schema;
+}
+
+PlainSchema DimSchema() {
+  PlainSchema schema;
+  schema.table_name = "dims";
+  schema.columns.push_back({"key", ColumnType::kInt64, true, std::nullopt});
+  schema.columns.push_back({"w", ColumnType::kInt64, false, std::nullopt});
+  return schema;
+}
+
+// The join point: a DET join under a selective (~0.1%) fact-side ORE window,
+// with one plain filter on the right table.
+Query JoinQuery() {
+  Query q;
+  q.table = "scan";
+  q.join = Join{"dims", "key", "right:key"};
+  q.Sum("value", "total").Count("n");
+  q.Where("ts", CmpOp::kLt, kTsPivot + kTsSpan / 1024);
+  q.Where("right:w", CmpOp::kLt, int64_t{50});
+  return q;
 }
 
 std::vector<Query> ScanSamples() {
   // seg in a GROUP BY -> DET (a SPLASHE-splayed filter leaves no server
-  // predicate to vectorize); a range filter on ts -> ORE; Sum(value) -> ASHE.
+  // predicate to vectorize); a range filter on ts -> ORE; Sum(value) -> ASHE;
+  // the join key -> DET under the join's shared key.
   std::vector<Query> samples;
   Query q;
   q.table = "scan";
@@ -103,12 +144,20 @@ std::vector<Query> ScanSamples() {
   q.Where("ts", CmpOp::kLt, kTsPivot + 1000);
   q.GroupBy("seg");
   samples.push_back(q);
+  samples.push_back(JoinQuery());
   return samples;
+}
+
+std::vector<Query> DimSamples() {
+  Query q;
+  q.table = "dims";
+  q.join = Join{"scan", "key", "right:key"};
+  q.Count("n");
+  return {q};
 }
 
 struct Point {
   const char* label;
-  bool gated;  // included in the >= 4x acceptance check
   Query query;
 };
 
@@ -120,7 +169,7 @@ std::vector<Point> Points() {
     q.table = "scan";
     q.Count("n");
     q.Where("seg", CmpOp::kEq, std::string("rare"));
-    points.push_back({"det_eq", true, std::move(q)});
+    points.push_back({"det_eq", std::move(q)});
   }
   {
     // Selective ORE range (~0.1%): the 16-byte first-differing-slot kernel.
@@ -128,7 +177,7 @@ std::vector<Point> Points() {
     q.table = "scan";
     q.Count("n");
     q.Where("ts", CmpOp::kLt, kTsPivot + kTsSpan / 1024);
-    points.push_back({"ore_lt", true, std::move(q)});
+    points.push_back({"ore_lt", std::move(q)});
   }
   {
     // Compound: DET kills ~99.9% of each row group first, the ORE kernel
@@ -138,17 +187,18 @@ std::vector<Point> Points() {
     q.Count("n");
     q.Where("seg", CmpOp::kEq, std::string("rare"));
     q.Where("ts", CmpOp::kLt, kTsPivot + kTsSpan / 4);
-    points.push_back({"det+ore", true, std::move(q)});
+    points.push_back({"det+ore", std::move(q)});
   }
   {
-    // End-to-end ASHE sum over the DET selection (ungated: ID-list encoding
-    // and client decryption add identical mode-independent work).
+    // End-to-end ASHE sum over the DET selection (adds ID-list encoding and
+    // client decryption to the scan).
     Query q;
     q.table = "scan";
     q.Sum("value", "total");
     q.Where("seg", CmpOp::kEq, std::string("rare"));
-    points.push_back({"sum", false, std::move(q)});
+    points.push_back({"sum", std::move(q)});
   }
+  points.push_back({"join", JoinQuery()});
   return points;
 }
 
@@ -157,83 +207,71 @@ double Median(std::vector<double> values) {
   return values[values.size() / 2];
 }
 
-int Main() {
-  // Floor of 200k rows: the vectorized scan of a smoke-sized 20k-row table
-  // finishes in single-digit microseconds and the ratio would gate timer
-  // noise rather than kernel throughput.
-  const uint64_t rows = std::max<uint64_t>(200000, EnvU64("SEABED_BENCH_ROWS", 2000000));
-  const uint64_t repeat = std::max<uint64_t>(5, EnvU64("SEABED_BENCH_REPEAT", 5));
-  BenchRecorder recorder("fig17_kernels");
-
+SessionOptions ScanSessionOptions(BackendKind backend, uint64_t rows) {
   SessionOptions options;
-  options.backend = BackendKind::kSeabed;
-  // Single worker: the gate measures single-thread scan throughput; more
-  // workers would just divide both modes' times by the same constant and
-  // add dispatch jitter.
+  options.backend = backend;
+  // Single worker: the record measures single-thread scan throughput; more
+  // workers would divide it by a constant and add dispatch jitter.
   options.cluster.num_workers = 1;
   options.cluster.job_overhead_seconds = 0;
   options.cluster.task_overhead_seconds = 0;
   options.cluster.client_link.latency_seconds = 0;
   options.planner.expected_rows = rows;
-  Session session(std::move(options));
-  session.Attach(MakeTable(rows), ScanSchema(), ScanSamples());
-  {
-    ProbeOptions popts = session.probe_options();
-    popts.mode = ProbeMode::kOff;  // probe pruning would shrink the very scan under test
-    session.set_probe_options(popts);
+  // Probe pruning would shrink the very scan under test.
+  options.probe.mode = ProbeMode::kOff;
+  return options;
+}
+
+int Main() {
+  // Floor of 200k rows: the scan of a smoke-sized 20k-row table finishes in
+  // single-digit microseconds, below timer noise.
+  const uint64_t rows = std::max<uint64_t>(200000, EnvU64("SEABED_BENCH_ROWS", 2000000));
+  const uint64_t repeat = std::max<uint64_t>(5, EnvU64("SEABED_BENCH_REPEAT", 5));
+  BenchRecorder recorder("fig17_kernels");
+
+  Session session(ScanSessionOptions(BackendKind::kSeabed, rows));
+  Session plain(ScanSessionOptions(BackendKind::kPlain, rows));
+  const auto table = MakeTable(rows);
+  const auto dims = MakeDimTable();
+  for (Session* s : {&session, &plain}) {
+    s->Attach(table, ScanSchema(), ScanSamples());
+    s->Attach(dims, DimSchema(), DimSamples());
   }
 
-  const bool simd = std::string(ScanKernelIsaName()) != "scalar";
-  const double required = simd ? 4.0 : 0.8;
-
-  std::printf("=== Figure 17: vectorized scan kernels vs row-at-a-time "
+  std::printf("=== Figure 17: vectorized scan kernels "
               "(rows=%llu, repeat=%llu, isa=%s, 1 worker) ===\n",
               static_cast<unsigned long long>(rows),
               static_cast<unsigned long long>(repeat), ScanKernelIsaName());
-  std::printf("%-8s %14s %14s %9s %8s\n", "point", "row(s)", "vector(s)", "speedup", "gate");
+  std::printf("%-8s %14s %12s %8s\n", "point", "server(s)", "touched", "check");
 
-  bool gate_failed = false;
+  bool failed = false;
   const std::vector<Point> points = Points();
   for (const Point& point : points) {
-    double medians[2] = {};
-    constexpr ScanMode kModes[] = {ScanMode::kRowAtATime, ScanMode::kVectorized};
-    const char* kSeries[] = {"rowatatime", "vectorized"};
-    uint64_t touched[2] = {};
-    for (size_t m = 0; m < 2; ++m) {
-      SetServerScanMode(kModes[m]);
-      session.Execute(point.query, nullptr);  // untimed warm-up
-      std::vector<double> server;
-      for (uint64_t r = 0; r < repeat; ++r) {
-        QueryStats stats;
-        session.Execute(point.query, &stats);
-        server.push_back(stats.server_seconds);
-        touched[m] = stats.rows_touched;
-        recorder.AddStats(kSeries[m], {{"point", static_cast<double>(&point - points.data())}},
-                          stats);
-      }
-      medians[m] = Median(std::move(server));
+    QueryStats reference_stats;
+    const ResultSet reference = plain.Execute(point.query, &reference_stats);
+    const ResultSet answer = session.Execute(point.query, nullptr);  // untimed warm-up
+    std::vector<double> server;
+    uint64_t touched = 0;
+    for (uint64_t r = 0; r < repeat; ++r) {
+      QueryStats stats;
+      session.Execute(point.query, &stats);
+      server.push_back(stats.server_seconds);
+      touched = stats.rows_touched;
+      recorder.AddStats("vectorized", {{"point", static_cast<double>(&point - points.data())}},
+                        stats);
     }
-    SetServerScanMode(ScanMode::kVectorized);
-
-    const double speedup = medians[1] > 0 ? medians[0] / medians[1] : 0;
-    recorder.Add(point.label, {{"median_speedup", speedup}});
-    const bool pass = !point.gated || speedup >= required;
-    std::printf("%-8s %14.6f %14.6f %8.1fx %8s\n", point.label, medians[0], medians[1],
-                speedup, point.gated ? (pass ? "pass" : "FAIL") : "-");
-    if (touched[0] != touched[1]) {
-      std::printf("REGRESSION: %s touched %llu rows vectorized vs %llu row-at-a-time\n",
-                  point.label, static_cast<unsigned long long>(touched[1]),
-                  static_cast<unsigned long long>(touched[0]));
-      gate_failed = true;
-    }
-    if (!pass) {
-      std::printf("REGRESSION: %s vectorized is only %.2fx the row-at-a-time scan "
-                  "(>= %.1fx required, isa=%s)\n",
-                  point.label, speedup, required, ScanKernelIsaName());
-      gate_failed = true;
+    const bool correct = answer.rows == reference.rows && touched == reference_stats.rows_touched;
+    std::printf("%-8s %14.6f %12llu %8s\n", point.label, Median(std::move(server)),
+                static_cast<unsigned long long>(touched), correct ? "ok" : "FAIL");
+    if (!correct) {
+      std::printf("REGRESSION: %s touched %llu rows vs %llu on kPlain%s\n", point.label,
+                  static_cast<unsigned long long>(touched),
+                  static_cast<unsigned long long>(reference_stats.rows_touched),
+                  answer.rows == reference.rows ? "" : " (answers differ)");
+      failed = true;
     }
   }
-  return gate_failed ? 1 : 0;
+  return failed ? 1 : 0;
 }
 
 }  // namespace

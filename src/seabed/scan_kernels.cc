@@ -1,7 +1,6 @@
 #include "src/seabed/scan_kernels.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 // ISA selection. SEABED_NO_SIMD (CMake escape hatch) forces the portable
@@ -20,8 +19,6 @@
 
 namespace seabed {
 namespace {
-
-std::atomic<ScanMode> g_scan_mode{ScanMode::kVectorized};
 
 #if defined(SEABED_SCAN_X86)
 bool HasAvx2() {
@@ -249,10 +246,6 @@ void OreCmpDrive(const OreCiphertext* cells, size_t n, CmpOp op, SelectionBitmap
 }
 
 }  // namespace
-
-void SetServerScanMode(ScanMode mode) { g_scan_mode.store(mode, std::memory_order_relaxed); }
-
-ScanMode ServerScanMode() { return g_scan_mode.load(std::memory_order_relaxed); }
 
 const char* ScanKernelIsaName() {
 #if defined(SEABED_SCAN_X86)

@@ -25,6 +25,7 @@ struct ColRef {
 };
 
 ColRef Resolve(const Table& fact, const Table* right, const std::string& name, bool on_right) {
+  SEABED_CHECK_MSG(!on_right || right != nullptr, "joined column " << name << " without a right table");
   const Table& t = on_right ? *right : fact;
   ColRef ref;
   ref.on_right = on_right;
@@ -60,6 +61,22 @@ struct PartialAgg {
   OreCiphertext minmax_ore;
   uint64_t minmax_cipher = 0;
   uint64_t minmax_id = 0;
+
+  // kOreMin / kOreMax: keeps the candidate when the slot is empty or the
+  // candidate orders strictly before (MIN) or after (MAX) the current winner.
+  void OfferMinMax(ServerAggregate::Kind kind, const OreCiphertext& ore, uint64_t cipher,
+                   uint64_t id) {
+    if (minmax_valid) {
+      const int order = Ore::Compare(ore, minmax_ore).order;
+      if (kind == ServerAggregate::Kind::kOreMin ? order >= 0 : order <= 0) {
+        return;
+      }
+    }
+    minmax_valid = true;
+    minmax_ore = ore;
+    minmax_cipher = cipher;
+    minmax_id = id;
+  }
 };
 
 struct PartialGroup {
@@ -74,6 +91,101 @@ struct PartialGroup {
 // per-group column slice (ORE, 16 B/row = 64 KiB) stays cache-resident.
 constexpr size_t kKernelRowGroup = 4096;
 
+// Kernel evaluation order: DET and plain-int predicates first (whole 64-row
+// words per compare), then ORE (per-row SIMD that skips dead words), then
+// plain strings, scalar over the surviving bits only. Reordering is safe —
+// the predicates AND.
+int ScanStage(ServerPredicate::Kind kind) {
+  switch (kind) {
+    case ServerPredicate::Kind::kDetEq:
+    case ServerPredicate::Kind::kPlainInt:
+      return 0;
+    case ServerPredicate::Kind::kOreCmp:
+      return 1;
+    case ServerPredicate::Kind::kPlainString:
+      break;
+  }
+  return 2;
+}
+
+// The conjunction of one join side's predicates (the fact table's, or the
+// right table's on the build side), evaluated a kernel row group at a time
+// into a selection bitmap.
+class ScanFilter {
+ public:
+  ScanFilter(const ServerPlan& plan, const std::vector<ColRef>& cols, bool on_right)
+      : plan_(plan), cols_(cols) {
+    for (size_t i = 0; i < plan.predicates.size(); ++i) {
+      if (plan.predicates[i].on_right != on_right) {
+        continue;
+      }
+      // Dictionary codes compare like the strings they encode; an absent
+      // operand (UINT32_MAX, never a valid code) matches no row.
+      const uint32_t code = plan.predicates[i].kind == ServerPredicate::Kind::kPlainString
+                                ? cols[i].str->Lookup(plan.predicates[i].str_operand)
+                                : UINT32_MAX;
+      steps_.push_back({i, code});
+    }
+    std::stable_sort(steps_.begin(), steps_.end(), [&](const Step& a, const Step& b) {
+      return ScanStage(plan.predicates[a.pred].kind) < ScanStage(plan.predicates[b.pred].kind);
+    });
+  }
+
+  // Calls visit(row) for every row of `range` that passes, in row order.
+  // `sel` is scratch space, reused across calls.
+  template <typename Visit>
+  void ForEachPassing(const RowRange& range, SelectionBitmap& sel, Visit&& visit) const {
+    for (size_t begin = range.begin; begin < range.end; begin += kKernelRowGroup) {
+      if (Select(begin, std::min(kKernelRowGroup, range.end - begin), sel)) {
+        sel.ForEachSet([&](size_t bit) { visit(begin + bit); });
+      }
+    }
+  }
+
+ private:
+  struct Step {
+    size_t pred;    // index into plan.predicates (and cols)
+    uint32_t code;  // kPlainString: the operand's dictionary code
+  };
+
+  // Leaves set in `sel` exactly the rows of [begin, begin + n) that pass;
+  // false once none does.
+  bool Select(size_t begin, size_t n, SelectionBitmap& sel) const {
+    sel.Reset(n, /*all_set=*/true);
+    for (const Step& step : steps_) {
+      const ServerPredicate& sp = plan_.predicates[step.pred];
+      const ColRef& ref = cols_[step.pred];
+      switch (sp.kind) {
+        case ServerPredicate::Kind::kDetEq:
+          FilterDetEq(ref.det->tokens().data() + begin, n, sp.op != CmpOp::kEq, sp.det_token,
+                      sel);
+          break;
+        case ServerPredicate::Kind::kPlainInt:
+          FilterInt64Cmp(ref.i64->values().data() + begin, n, sp.op, sp.int_operand, sel);
+          break;
+        case ServerPredicate::Kind::kOreCmp:
+          FilterOreCmp(ref.ore->cells().data() + begin, n, sp.op, sp.ore_operand, sel);
+          break;
+        case ServerPredicate::Kind::kPlainString: {
+          const bool want_eq = sp.op == CmpOp::kEq;
+          sel.Retain([&](size_t bit) {
+            return (ref.str->GetCode(begin + bit) == step.code) == want_eq;
+          });
+          break;
+        }
+      }
+      if (!sel.Any()) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  const ServerPlan& plan_;
+  const std::vector<ColRef>& cols_;
+  std::vector<Step> steps_;
+};
+
 }  // namespace
 
 EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster,
@@ -82,26 +194,11 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
   SEABED_CHECK_MSG(fact_table != nullptr, "server has no table named " << plan.table);
   const Table& fact = *fact_table;
   const Table* right = nullptr;
-
-  // Broadcast hash join on DET tokens (built once at the driver, like a Spark
-  // broadcast join). Multi-map: join keys need not be unique.
-  std::unordered_multimap<uint64_t, size_t> join_index;
-  const DetColumn* join_left = nullptr;
-  Stopwatch driver_sw;
   if (plan.join.has_value()) {
     SEABED_CHECK_MSG(right_override != nullptr,
                      "join plan requires the caller's snapshot to supply " << plan.join->right_table);
     right = right_override;
-    const ColRef right_key = Resolve(fact, right, plan.join->right_column, true);
-    SEABED_CHECK_MSG(right_key.det != nullptr, "join keys must be DET encrypted");
-    for (size_t row = 0; row < right->NumRows(); ++row) {
-      join_index.emplace(right_key.det->Get(row), row);
-    }
-    const ColRef left_key = Resolve(fact, right, plan.join->left_column, false);
-    SEABED_CHECK_MSG(left_key.det != nullptr, "join keys must be DET encrypted");
-    join_left = left_key.det;
   }
-  double driver_seconds = driver_sw.ElapsedSeconds();
 
   // Resolve predicate / aggregate / group columns once.
   std::vector<ColRef> pred_cols;
@@ -131,6 +228,26 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
     group_cols.push_back(Resolve(fact, right, g.column, g.on_right));
   }
 
+  // Broadcast hash join on DET tokens (built once at the driver, like a Spark
+  // broadcast join). The build side runs the right table's predicates
+  // through the same kernels as the fact scan, so only surviving right rows
+  // enter the index. Multi-map: join keys need not be unique.
+  std::unordered_multimap<uint64_t, size_t> join_index;
+  const DetColumn* join_left = nullptr;
+  Stopwatch driver_sw;
+  if (right != nullptr) {
+    const ColRef right_key = Resolve(fact, right, plan.join->right_column, true);
+    SEABED_CHECK_MSG(right_key.det != nullptr, "join keys must be DET encrypted");
+    const ColRef left_key = Resolve(fact, right, plan.join->left_column, false);
+    SEABED_CHECK_MSG(left_key.det != nullptr, "join keys must be DET encrypted");
+    join_left = left_key.det;
+    SelectionBitmap sel;
+    ScanFilter(plan, pred_cols, /*on_right=*/true)
+        .ForEachPassing(RowRange{0, right->NumRows()}, sel,
+                        [&](size_t row) { join_index.emplace(right_key.det->Get(row), row); });
+  }
+  double driver_seconds = driver_sw.ElapsedSeconds();
+
   // The scan's unit of parallel work: one task per partition for a full
   // scan, or the probe's surviving row groups re-balanced across the workers
   // for a pruned round two.
@@ -144,54 +261,16 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
   }
   std::vector<std::unordered_map<std::string, PartialGroup>> partials(tasks.size());
 
-  // Per-task scan state, padded to cache-line granularity: the touched
-  // counter is bumped once per surviving row by concurrent workers, and
-  // adjacent uint64_t slots in a plain vector false-share on the hottest
-  // counter (the same treatment src/common/epoch.h applies to its slots).
-  struct alignas(64) TaskScanState {
-    uint64_t touched = 0;
-  };
-  std::vector<TaskScanState> task_state(tasks.size());
-
-  // Kernel-scan classification (vectorized mode, non-join plans): DET and
-  // plain-int predicates run first (whole 64-row words per compare), then
-  // ORE (per-row SIMD that skips dead words), and plain-string predicates
-  // run scalar over the surviving bits only. Reordering is safe — the
-  // predicates AND. Joined scans keep the row-at-a-time path: the join
-  // fan-out is inherently per-row.
-  const bool use_kernels =
-      ServerScanMode() == ScanMode::kVectorized && !plan.join.has_value();
-  std::vector<size_t> kernel_preds;    // det + int, then ore, in plan order
-  std::vector<size_t> residual_preds;  // plain strings, scalar over survivors
-  std::vector<uint32_t> residual_codes(plan.predicates.size(), UINT32_MAX);
-  if (use_kernels) {
-    for (size_t i = 0; i < plan.predicates.size(); ++i) {
-      const ServerPredicate::Kind kind = plan.predicates[i].kind;
-      if (kind == ServerPredicate::Kind::kDetEq || kind == ServerPredicate::Kind::kPlainInt) {
-        kernel_preds.push_back(i);
-      }
-    }
-    for (size_t i = 0; i < plan.predicates.size(); ++i) {
-      if (plan.predicates[i].kind == ServerPredicate::Kind::kOreCmp) {
-        kernel_preds.push_back(i);
-      }
-    }
-    for (size_t i = 0; i < plan.predicates.size(); ++i) {
-      if (plan.predicates[i].kind == ServerPredicate::Kind::kPlainString) {
-        residual_preds.push_back(i);
-        // Dictionary codes compare like the strings they encode; an absent
-        // operand (UINT32_MAX, never a valid code) matches no row.
-        residual_codes[i] = pred_cols[i].str->Lookup(plan.predicates[i].str_operand);
-      }
-    }
-  }
-
+  // Probe side: the fact-side predicates fill one selection bitmap per
+  // kernel row group, and each surviving row is aggregated directly or, on a
+  // join, once per matching build-side row.
+  const ScanFilter fact_filter(plan, pred_cols, /*on_right=*/false);
+  std::vector<uint64_t> touched(tasks.size());  // passing rows (join: pairs)
   const JobStats job = cluster.RunJob(tasks.size(), [&](size_t p) {
     auto& local = partials[p];
 
-    // Aggregation for one surviving row: group-key building + accumulation.
-    // Shared by both scan paths — the kernel path drives it from the set
-    // bits of the final bitmap, the row path after the predicate chain.
+    // Aggregation for one surviving row (or row pair): group-key building
+    // + accumulation.
     auto accumulate = [&](size_t row, size_t right_row) {
       // Group key. Every part is length-prefixed (AppendGroupKeyPart): raw
       // '\x1f'-separated concatenation let distinct keys like ("a\x1f", "b")
@@ -245,126 +324,31 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
             ++pa.count;
             break;
           case ServerAggregate::Kind::kOreMin:
-          case ServerAggregate::Kind::kOreMax: {
-            const OreCiphertext& ct = ac.main.ore->Get(r);
-            bool better = !pa.minmax_valid;
-            if (!better) {
-              const int order = Ore::Compare(ct, pa.minmax_ore).order;
-              better = sa.kind == ServerAggregate::Kind::kOreMin ? order < 0 : order > 0;
-            }
-            if (better) {
-              pa.minmax_valid = true;
-              pa.minmax_ore = ct;
-              pa.minmax_cipher = ac.companion.ashe->Get(r);
-              pa.minmax_id = ac.companion.ashe->IdOfRow(r);
-            }
+          case ServerAggregate::Kind::kOreMax:
+            pa.OfferMinMax(sa.kind, ac.main.ore->Get(r), ac.companion.ashe->Get(r),
+                           ac.companion.ashe->IdOfRow(r));
             break;
-          }
         }
       }
     };
 
-    // Row-at-a-time evaluation: the join path and the kRowAtATime fallback.
-    auto process = [&](size_t row, size_t right_row) {
-      for (size_t i = 0; i < plan.predicates.size(); ++i) {
-        const ServerPredicate& sp = plan.predicates[i];
-        const ColRef& ref = pred_cols[i];
-        const size_t r = ref.on_right ? right_row : row;
-        bool pass = true;
-        switch (sp.kind) {
-          case ServerPredicate::Kind::kPlainInt: {
-            const int64_t v = ref.i64->Get(r);
-            pass = CmpOpMatchesOrder(sp.op, v < sp.int_operand ? -1 : (v > sp.int_operand ? 1 : 0));
-            break;
-          }
-          case ServerPredicate::Kind::kPlainString: {
-            const bool eq = ref.str->Get(r) == sp.str_operand;
-            pass = sp.op == CmpOp::kEq ? eq : !eq;
-            break;
-          }
-          case ServerPredicate::Kind::kDetEq: {
-            const bool eq = ref.det->Get(r) == sp.det_token;
-            pass = sp.op == CmpOp::kEq ? eq : !eq;
-            break;
-          }
-          case ServerPredicate::Kind::kOreCmp: {
-            const OreComparison cmp = Ore::Compare(ref.ore->Get(r), sp.ore_operand);
-            pass = CmpOpMatchesOrder(sp.op, cmp.order);
-            break;
-          }
-        }
-        if (!pass) {
+    uint64_t task_touched = 0;
+    SelectionBitmap sel;
+    for (const RowRange& range : tasks[p]) {
+      fact_filter.ForEachPassing(range, sel, [&](size_t row) {
+        if (join_left == nullptr) {
+          ++task_touched;
+          accumulate(row, 0);
           return;
         }
-      }
-      ++task_state[p].touched;
-      accumulate(row, right_row);
-    };
-
-    if (use_kernels) {
-      // Columnar path: per kernel row group, fill one selection bitmap by
-      // ANDing each predicate's verdicts, then aggregate the set bits.
-      SelectionBitmap sel;
-      for (const RowRange& range : tasks[p]) {
-        for (size_t begin = range.begin; begin < range.end; begin += kKernelRowGroup) {
-          const size_t n = std::min<size_t>(kKernelRowGroup, range.end - begin);
-          sel.Reset(n, /*all_set=*/true);
-          bool dead = false;
-          for (const size_t i : kernel_preds) {
-            const ServerPredicate& sp = plan.predicates[i];
-            const ColRef& ref = pred_cols[i];
-            switch (sp.kind) {
-              case ServerPredicate::Kind::kDetEq:
-                FilterDetEq(ref.det->tokens().data() + begin, n, sp.op != CmpOp::kEq,
-                            sp.det_token, sel);
-                break;
-              case ServerPredicate::Kind::kPlainInt:
-                FilterInt64Cmp(ref.i64->values().data() + begin, n, sp.op, sp.int_operand, sel);
-                break;
-              case ServerPredicate::Kind::kOreCmp:
-                FilterOreCmp(ref.ore->cells().data() + begin, n, sp.op, sp.ore_operand, sel);
-                break;
-              default:
-                break;
-            }
-            if (!sel.Any()) {
-              dead = true;
-              break;
-            }
-          }
-          if (dead) {
-            continue;
-          }
-          for (const size_t i : residual_preds) {
-            const ServerPredicate& sp = plan.predicates[i];
-            const StringColumn* str = pred_cols[i].str;
-            const uint32_t code = residual_codes[i];
-            const bool want_eq = sp.op == CmpOp::kEq;
-            sel.Retain(
-                [&](size_t bit) { return (str->GetCode(begin + bit) == code) == want_eq; });
-          }
-          const size_t hits = sel.Count();
-          if (hits == 0) {
-            continue;
-          }
-          task_state[p].touched += hits;
-          sel.ForEachSet([&](size_t bit) { accumulate(begin + bit, 0); });
+        const auto [lo, hi] = join_index.equal_range(join_left->Get(row));
+        for (auto it = lo; it != hi; ++it) {
+          ++task_touched;
+          accumulate(row, it->second);
         }
-      }
-    } else {
-      for (const RowRange& range : tasks[p]) {
-        for (size_t row = range.begin; row < range.end; ++row) {
-          if (join_left != nullptr) {
-            const auto [lo, hi] = join_index.equal_range(join_left->Get(row));
-            for (auto it = lo; it != hi; ++it) {
-              process(row, it->second);
-            }
-          } else {
-            process(row, 0);
-          }
-        }
-      }
+      });
     }
+    touched[p] = task_touched;
 
     // Worker-side ID-list compression (Section 4.5's winning configuration):
     // encode inside the task so the cost lands on the worker's clock.
@@ -454,22 +438,11 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
             pa.count += src.count;
             break;
           case ServerAggregate::Kind::kOreMin:
-          case ServerAggregate::Kind::kOreMax: {
+          case ServerAggregate::Kind::kOreMax:
             if (src.minmax_valid) {
-              bool better = !pa.minmax_valid;
-              if (!better) {
-                const int order = Ore::Compare(src.minmax_ore, pa.minmax_ore).order;
-                better = sa.kind == ServerAggregate::Kind::kOreMin ? order < 0 : order > 0;
-              }
-              if (better) {
-                pa.minmax_valid = src.minmax_valid;
-                pa.minmax_ore = src.minmax_ore;
-                pa.minmax_cipher = src.minmax_cipher;
-                pa.minmax_id = src.minmax_id;
-              }
+              pa.OfferMinMax(sa.kind, src.minmax_ore, src.minmax_cipher, src.minmax_id);
             }
             break;
-          }
         }
       }
     }
@@ -527,8 +500,8 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
   response.response_bytes = bytes;
   response.job = job;
   response.driver_seconds = driver_seconds;
-  for (const TaskScanState& t : task_state) {
-    response.rows_touched += t.touched;
+  for (const uint64_t t : touched) {
+    response.rows_touched += t;
   }
   return response;
 }

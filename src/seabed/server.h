@@ -1,11 +1,15 @@
 // The untrusted Seabed server (paper Sections 4.5, 6).
 //
 // Executes a ServerPlan over encrypted tables on the cluster model:
-// evaluates DET/ORE predicates, performs ASHE aggregation (group-element sums
-// plus ID-list maintenance), hash-joins on DET tokens, applies the group-by
-// inflation the translator requested, and compresses ID lists either at the
-// workers (parallel, Seabed's default) or at the driver (the rejected
-// alternative of Section 4.5).
+// evaluates DET/ORE predicates with the columnar scan kernels
+// (src/seabed/scan_kernels.h), performs ASHE aggregation (group-element sums
+// plus ID-list maintenance), applies the group-by inflation the translator
+// requested, and compresses ID lists either at the workers (parallel,
+// Seabed's default) or at the driver (the rejected alternative of Section
+// 4.5). A join is a broadcast hash join on DET tokens: the build side
+// filters the right table with its own predicates and indexes only the
+// surviving rows, then the fact scan probes that index with each row that
+// passes the fact-side predicates.
 //
 // The server never sees a key: everything here operates on ciphertexts,
 // tokens and public row identifiers.

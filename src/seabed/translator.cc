@@ -34,6 +34,19 @@ TranslatedQuery Translator::Translate(const Query& query,
   server.table = db_->table->name();
   SEABED_CHECK_MSG(!query.join.has_value() || !IsRightRef(query.join->left_column),
                    "join left column must belong to the fact table");
+  const auto check_joined = [&](const std::string& column) {
+    SEABED_CHECK_MSG(query.join.has_value() || !IsRightRef(column),
+                     "joined column " << column << " without a join");
+  };
+  for (const Predicate& pred : query.filters) {
+    check_joined(pred.column);
+  }
+  for (const Aggregate& agg : query.aggregates) {
+    check_joined(agg.column);
+  }
+  for (const std::string& g : query.group_by) {
+    check_joined(g);
+  }
 
   // --- SPLASHE filter rewriting ---------------------------------------------
   // At most one SPLASHE-protected dimension may be filtered per query; the

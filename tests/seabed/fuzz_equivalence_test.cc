@@ -54,7 +54,6 @@
 #include <vector>
 
 #include "src/common/rng.h"
-#include "src/seabed/scan_kernels.h"
 #include "src/seabed/service.h"
 #include "src/seabed/session.h"
 #include "src/seabed/sharded_backend.h"
@@ -319,11 +318,6 @@ TEST_P(FuzzEquivalenceTest, RandomQueriesAgreeAcrossAllBackends) {
 
   // --- random queries ---------------------------------------------------------
   for (int trial = 0; trial < 20; ++trial) {
-    // Scan-mode axis: even trials run the server's vectorized kernels, odd
-    // trials the legacy row-at-a-time loop — every backend must byte-match
-    // the plaintext reference on both scan paths (and on the SEABED_NO_SIMD
-    // build this same rotation pins the scalar kernel fallback).
-    SetServerScanMode(trial % 2 == 0 ? ScanMode::kVectorized : ScanMode::kRowAtATime);
     // Append rounds interleave with the queries: every backend ingests the
     // same batch, so answers stay comparable — and any cached result that
     // survives its table's growth (stale ciphertext) diverges from kPlain
@@ -509,7 +503,6 @@ TEST_P(FuzzEquivalenceTest, RandomQueriesAgreeAcrossAllBackends) {
       }
     }
   }
-  SetServerScanMode(ScanMode::kVectorized);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FuzzEquivalenceTest,

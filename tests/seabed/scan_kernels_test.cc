@@ -122,13 +122,5 @@ TEST(ScanKernelsTest, KernelsAndIntoPrethinnedBitmap) {
   }
 }
 
-TEST(ScanKernelsTest, ScanModeRoundTrips) {
-  EXPECT_EQ(ServerScanMode(), ScanMode::kVectorized);
-  SetServerScanMode(ScanMode::kRowAtATime);
-  EXPECT_EQ(ServerScanMode(), ScanMode::kRowAtATime);
-  SetServerScanMode(ScanMode::kVectorized);
-  EXPECT_EQ(ServerScanMode(), ScanMode::kVectorized);
-}
-
 }  // namespace
 }  // namespace seabed

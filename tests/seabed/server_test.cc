@@ -7,7 +7,6 @@
 #include "src/common/rng.h"
 #include "src/seabed/client.h"
 #include "src/seabed/planner.h"
-#include "src/seabed/scan_kernels.h"
 
 namespace seabed {
 namespace {
@@ -152,32 +151,6 @@ TEST_F(ServerTest, ResponseBytesGrowWithSelectivityFragmentation) {
   const EncryptedResponse r_odd =
       server_.Execute(Translate(odd, topts).server, cluster_, db_.table.get(), nullptr);
   EXPECT_GT(r_odd.response_bytes, r_all.response_bytes);
-}
-
-TEST_F(ServerTest, ScanModesProduceIdenticalResponses) {
-  // The vectorized kernel path and the legacy row-at-a-time loop must be
-  // bit-identical: same groups, same aggregates, same touched accounting.
-  Query q;
-  q.table = "s";
-  q.Sum("m").Where("g", CmpOp::kEq, std::string("odd")).GroupBy("g");
-  const TranslatedQuery tq = Translate(q);
-
-  SetServerScanMode(ScanMode::kVectorized);
-  const EncryptedResponse vec = server_.Execute(tq.server, cluster_, db_.table.get(), nullptr);
-  SetServerScanMode(ScanMode::kRowAtATime);
-  const EncryptedResponse row = server_.Execute(tq.server, cluster_, db_.table.get(), nullptr);
-  SetServerScanMode(ScanMode::kVectorized);
-
-  EXPECT_EQ(vec.rows_touched, row.rows_touched);
-  ASSERT_EQ(vec.groups.size(), row.groups.size());
-  for (size_t g = 0; g < vec.groups.size(); ++g) {
-    EXPECT_EQ(vec.groups[g].key, row.groups[g].key);
-    ASSERT_EQ(vec.groups[g].aggs.size(), row.groups[g].aggs.size());
-    for (size_t a = 0; a < vec.groups[g].aggs.size(); ++a) {
-      EXPECT_EQ(vec.groups[g].aggs[a].ashe_value, row.groups[g].aggs[a].ashe_value);
-      EXPECT_EQ(vec.groups[g].aggs[a].row_count, row.groups[g].aggs[a].row_count);
-    }
-  }
 }
 
 TEST(ServerGroupKeyTest, AdjacentStringPartsNeverAlias) {

@@ -321,5 +321,155 @@ TEST_F(SessionJoinTest, CacheHitsNeverProbe) {
   EXPECT_EQ(warm.row_groups_total, 0u);
 }
 
+// --- joins on the columnar scan kernels ----------------------------------------
+//
+// Both sides of a joined scan cross 4096-row kernel groups: with 3 workers
+// and the probe off, each kSeabed scan task is one ~9k-row partition (two full
+// groups plus a tail, none starting on a group edge), and the right table is
+// larger than one group, so its build-side filter crosses an edge too. The
+// right table repeats join keys and holds keys no fact row carries.
+
+constexpr size_t kJoinFactRows = 27000;
+constexpr size_t kJoinDimRows = 5000;
+
+SessionOptions KernelJoinOptions(BackendKind backend, size_t shards) {
+  SessionOptions options;
+  options.backend = backend;
+  options.shards = shards;
+  options.cluster = TestClusterConfig();
+  options.cluster.num_workers = 3;
+  options.probe.mode = ProbeMode::kOff;  // keep every scan range whole
+  options.planner.expected_rows = kJoinFactRows;
+  options.key_seed = 4242;
+  return options;
+}
+
+TEST(SessionKernelJoinTest, FilteredJoinsMatchPlainAcrossRowGroups) {
+  PlainSchema fact_schema;
+  fact_schema.table_name = "facts";
+  fact_schema.columns.push_back({"key", ColumnType::kInt64, true, std::nullopt});
+  fact_schema.columns.push_back({"kind", ColumnType::kString, true, std::nullopt});
+  fact_schema.columns.push_back({"ts", ColumnType::kInt64, true, std::nullopt});
+  fact_schema.columns.push_back({"m", ColumnType::kInt64, true, std::nullopt});
+  PlainSchema dim_schema;
+  dim_schema.table_name = "dims";
+  dim_schema.columns.push_back({"key", ColumnType::kInt64, true, std::nullopt});
+  dim_schema.columns.push_back({"w", ColumnType::kInt64, false, std::nullopt});
+  dim_schema.columns.push_back({"cat", ColumnType::kString, false, std::nullopt});
+
+  auto facts = std::make_shared<Table>("facts");
+  {
+    auto key = std::make_shared<Int64Column>();
+    auto kind = std::make_shared<StringColumn>();
+    auto ts = std::make_shared<Int64Column>();
+    auto m = std::make_shared<Int64Column>();
+    Rng rng(31);
+    const char* kinds[] = {"k0", "k1", "k2"};
+    for (size_t i = 0; i < kJoinFactRows; ++i) {
+      key->Append(static_cast<int64_t>(rng.Below(2000)));
+      kind->Append(kinds[rng.Below(3)]);
+      ts->Append(static_cast<int64_t>(rng.Below(1000)));
+      m->Append(rng.Range(-50, 500));
+    }
+    facts->AddColumn("key", key);
+    facts->AddColumn("kind", kind);
+    facts->AddColumn("ts", ts);
+    facts->AddColumn("m", m);
+  }
+  auto dims = std::make_shared<Table>("dims");
+  {
+    // Keys 0..2499 over 5000 rows: most keys repeat, 2000..2499 match nothing.
+    auto key = std::make_shared<Int64Column>();
+    auto w = std::make_shared<Int64Column>();
+    auto cat = std::make_shared<StringColumn>();
+    Rng rng(32);
+    const char* cats[] = {"c0", "c1", "c2", "c3"};
+    for (size_t i = 0; i < kJoinDimRows; ++i) {
+      key->Append(static_cast<int64_t>(rng.Below(2500)));
+      w->Append(static_cast<int64_t>(rng.Below(100)));
+      cat->Append(cats[rng.Below(4)]);
+    }
+    dims->AddColumn("key", key);
+    dims->AddColumn("w", w);
+    dims->AddColumn("cat", cat);
+  }
+
+  // Fact side: a DET kNe and an ORE window; right side: a plain-int kLt and
+  // a plain-string kNe, grouped by a right column.
+  Query by_cat;
+  by_cat.table = "facts";
+  by_cat.join = Join{"dims", "key", "right:key"};
+  by_cat.Sum("m", "total").Count("n").Min("ts", "lo").Max("ts", "hi");
+  by_cat.Where("kind", CmpOp::kNe, std::string("k0"));
+  by_cat.Where("ts", CmpOp::kGe, int64_t{200});
+  by_cat.Where("ts", CmpOp::kLt, int64_t{800});
+  by_cat.Where("right:w", CmpOp::kLt, int64_t{60});
+  by_cat.Where("right:cat", CmpOp::kNe, std::string("c1"));
+  by_cat.GroupBy("right:cat");
+  Query by_w = by_cat;
+  by_w.aggregates.clear();
+  by_w.group_by.clear();
+  by_w.Sum("m", "total").GroupBy("right:w");
+  Query dim_sample;
+  dim_sample.table = "dims";
+  dim_sample.join = Join{"facts", "key", "right:key"};
+  dim_sample.Count("n");
+
+  Session plain(KernelJoinOptions(BackendKind::kPlain, 1));
+  Session seabed(KernelJoinOptions(BackendKind::kSeabed, 1));
+  Session sharded(KernelJoinOptions(BackendKind::kShardedSeabed, 3));
+  for (Session* s : {&plain, &seabed, &sharded}) {
+    s->Attach(facts, fact_schema, {by_cat, by_w});
+    s->Attach(dims, dim_schema, {dim_sample});
+  }
+
+  for (const Query* q : {&by_cat, &by_w}) {
+    QueryStats reference_stats;
+    const auto reference = RowsAsStrings(plain.Execute(*q, &reference_stats));
+    ASSERT_GT(reference.size(), 1u);
+    ASSERT_GT(reference_stats.rows_touched, 0u);
+    for (Session* s : {&seabed, &sharded}) {
+      SCOPED_TRACE(BackendKindName(s->backend_kind()));
+      QueryStats stats;
+      EXPECT_EQ(RowsAsStrings(s->Execute(*q, &stats)), reference);
+      EXPECT_EQ(stats.rows_touched, reference_stats.rows_touched);
+    }
+  }
+}
+
+// A "right:" column needs a joined table. Without a join the translator
+// rejects the query with a message instead of handing the server a plan that
+// resolves the column against a null table.
+TEST(SessionDeathTest, RightColumnWithoutJoinIsRejected) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  PlainSchema schema;
+  schema.table_name = "t";
+  schema.columns.push_back({"m", ColumnType::kInt64, true, std::nullopt});
+  auto table = std::make_shared<Table>("t");
+  auto m = std::make_shared<Int64Column>();
+  for (int64_t i = 0; i < 100; ++i) {
+    m->Append(i);
+  }
+  table->AddColumn("m", m);
+  Query sample;
+  sample.table = "t";
+  sample.Sum("m");
+
+  Query filtered = sample;
+  filtered.Where("right:cat", CmpOp::kEq, std::string("a"));
+  Query aggregated = sample;
+  aggregated.Sum("right:m");
+  Query grouped = sample;
+  grouped.GroupBy("right:cat");
+  for (const BackendKind backend : {BackendKind::kSeabed, BackendKind::kShardedSeabed}) {
+    SCOPED_TRACE(BackendKindName(backend));
+    Session session(KernelJoinOptions(backend, backend == BackendKind::kSeabed ? 1 : 3));
+    session.Attach(table, schema, {sample});
+    EXPECT_DEATH(session.Execute(filtered), "right:cat without a join");
+    EXPECT_DEATH(session.Execute(aggregated), "right:m without a join");
+    EXPECT_DEATH(session.Execute(grouped), "right:cat without a join");
+  }
+}
+
 }  // namespace
 }  // namespace seabed
