@@ -10,18 +10,12 @@
 // lane 0 is the interactive/priority lane.
 //
 // BARRIER items (caller's `is_barrier` predicate) are ordering jobs, always
-// delivered alone: a consumer that finds a barrier at the overall front
-// freezes the queue, so nothing queued after the barrier dispatches before
-// it completes; the consumer runs the job, then Thaw()s and GroupDone()s.
-// With `quiesce_barriers` (the default) the consumer additionally waits
-// until every previously-popped group has reported GroupDone() before
-// receiving the barrier — the barrier then EXCLUDES all other work, not just
-// orders against it. Non-quiescing queues skip that wait: the barrier runs
-// concurrently with in-flight groups (a snapshot-isolated backend needs only
-// the ordering half — appends never block queries). The popped-group
-// accounting lives inside the queue's own mutex — a group counts as active
-// from the moment it is popped, so a quiescing barrier can never slip
-// between a pop and the start of its execution.
+// delivered alone: a consumer that finds a barrier at the overall front pops
+// it at once and freezes the queue, so nothing queued after the barrier
+// dispatches until the consumer Thaw()s. The barrier orders, it does not
+// exclude: groups popped before it may still be running while it runs (the
+// Seabed engine publishes immutable table versions, so an append never needs
+// in-flight queries to finish).
 //
 // Close() wakes everyone; consumers keep draining until empty, then PopGroup
 // returns 0 (the shutdown-with-drain path). Drain() instead rips the backlog
@@ -43,8 +37,8 @@ namespace seabed {
 template <typename T>
 class MpmcQueue {
  public:
-  explicit MpmcQueue(size_t max_depth, size_t lanes = 1, bool quiesce_barriers = true)
-      : max_depth_(max_depth), quiesce_barriers_(quiesce_barriers), lanes_(lanes) {
+  explicit MpmcQueue(size_t max_depth, size_t lanes = 1)
+      : max_depth_(max_depth), lanes_(lanes) {
     SEABED_CHECK_MSG(lanes >= 1, "MpmcQueue needs at least one lane");
   }
 
@@ -72,79 +66,40 @@ class MpmcQueue {
   bool TryPush(const T& item, size_t lane = 0) { return TryPush(T(item), lane); }
 
   // Blocks until work is available (or the queue is closed and empty, which
-  // returns 0). Appends the popped group to `*out` and marks it active; the
-  // caller MUST call GroupDone() after finishing it, and additionally Thaw()
-  // when the group was a barrier (is_barrier(front) — always delivered alone).
+  // returns 0). Appends the popped group to `*out`; the caller MUST Thaw()
+  // after running a barrier (is_barrier(front) — always delivered alone).
   //
   // `same_group(a, b)` says b may ride in a group whose first member is a;
-  // `is_barrier(x)` marks exclusive items.
+  // `is_barrier(x)` marks ordering items.
   template <typename GroupPred, typename BarrierPred>
   size_t PopGroup(std::vector<T>* out, size_t max_batch, GroupPred same_group,
                   BarrierPred is_barrier) {
     std::unique_lock<std::mutex> lock(mu_);
-    for (;;) {
-      cv_pop_.wait(lock, [&] {
-        return (closed_ && size_ == 0) || (!frozen_ && size_ > 0);
-      });
-      if (size_ == 0) {
-        return 0;  // closed and drained
-      }
-      std::deque<T>& lane = *FirstNonEmptyLaneLocked();
-      if (is_barrier(lane.front())) {
-        // Freeze: nothing queued after the barrier dispatches until Thaw().
-        // In quiescing mode, additionally wait for every already-popped
-        // group to finish (the barrier EXCLUDES in-flight work); otherwise
-        // the barrier pops immediately and overlaps them. The barrier item
-        // stays queued while we wait so a concurrent Drain() still collects
-        // it (size_ == 0 detects that and restarts).
-        frozen_ = true;
-        if (quiesce_barriers_) {
-          cv_quiesce_.wait(lock, [&] { return active_ == 0 || size_ == 0; });
-        }
-        if (size_ == 0) {
-          frozen_ = false;
-          lock.unlock();
-          cv_pop_.notify_all();
-          lock.lock();
-          continue;
-        }
-        // Still frozen: nothing popped since, so the barrier is still at the
-        // front of its lane.
-        std::deque<T>& blane = *FirstNonEmptyLaneLocked();
-        SEABED_CHECK_MSG(is_barrier(blane.front()), "barrier vanished while frozen");
-        out->push_back(std::move(blane.front()));
-        blane.pop_front();
-        --size_;
-        ++active_;
-        return 1;
-      }
-      const size_t first = out->size();
+    cv_pop_.wait(lock, [&] { return (closed_ && size_ == 0) || (!frozen_ && size_ > 0); });
+    if (size_ == 0) {
+      return 0;  // closed and drained
+    }
+    std::deque<T>& lane = *FirstNonEmptyLaneLocked();
+    const size_t first = out->size();
+    out->push_back(std::move(lane.front()));
+    lane.pop_front();
+    --size_;
+    if (is_barrier((*out)[first])) {
+      frozen_ = true;  // nothing queued after the barrier dispatches until Thaw()
+      return 1;
+    }
+    while (out->size() - first < max_batch && !lane.empty() && !is_barrier(lane.front()) &&
+           same_group((*out)[first], lane.front())) {
       out->push_back(std::move(lane.front()));
       lane.pop_front();
       --size_;
-      while (out->size() - first < max_batch && !lane.empty() &&
-             !is_barrier(lane.front()) && same_group((*out)[first], lane.front())) {
-        out->push_back(std::move(lane.front()));
-        lane.pop_front();
-        --size_;
-      }
-      ++active_;
-      const bool more = size_ > 0;
-      lock.unlock();
-      if (more) {
-        cv_pop_.notify_one();  // baton: there is work left for a sibling
-      }
-      return out->size() - first;
     }
-  }
-
-  // Reports a popped group finished. Unblocks a barrier waiting to quiesce.
-  void GroupDone() {
-    std::lock_guard<std::mutex> lock(mu_);
-    SEABED_CHECK_MSG(active_ > 0, "GroupDone without a popped group");
-    if (--active_ == 0) {
-      cv_quiesce_.notify_all();
+    const bool more = size_ > 0;
+    lock.unlock();
+    if (more) {
+      cv_pop_.notify_one();  // baton: there is work left for a sibling
     }
+    return out->size() - first;
   }
 
   // Lifts the freeze a barrier pop installed.
@@ -163,7 +118,6 @@ class MpmcQueue {
       closed_ = true;
     }
     cv_pop_.notify_all();
-    cv_quiesce_.notify_all();
   }
 
   // Rips out everything still queued (lane order, FIFO within a lane) so the
@@ -181,7 +135,6 @@ class MpmcQueue {
       size_ = 0;
     }
     cv_pop_.notify_all();
-    cv_quiesce_.notify_all();
     return dropped;
   }
 
@@ -208,13 +161,10 @@ class MpmcQueue {
   }
 
   const size_t max_depth_;
-  const bool quiesce_barriers_;
   mutable std::mutex mu_;
-  std::condition_variable cv_pop_;      // consumers waiting for work
-  std::condition_variable cv_quiesce_;  // a barrier waiting for active_ == 0
+  std::condition_variable cv_pop_;  // consumers waiting for work
   std::vector<std::deque<T>> lanes_;
-  size_t size_ = 0;    // total across lanes
-  size_t active_ = 0;  // popped-but-unfinished groups
+  size_t size_ = 0;  // total across lanes
   bool frozen_ = false;
   bool closed_ = false;
 };

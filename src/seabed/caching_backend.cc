@@ -1,6 +1,5 @@
 #include "src/seabed/caching_backend.h"
 
-#include <mutex>
 #include <utility>
 
 #include "src/common/check.h"
@@ -24,10 +23,6 @@ CachingSeabedBackend::CachingSeabedBackend(const CacheOptions& options,
 }
 
 void CachingSeabedBackend::Prepare(AttachedTable& table) {
-  // Exclusive: the inner backend's tables must not change under a running
-  // query (the inner executors assume Prepare/Append are externally ordered
-  // against Execute — see Executor).
-  std::unique_lock<std::shared_mutex> serve_lock(serve_mu_);
   inner_->Prepare(table);
   // A (re-)attach changes what queries over this table should see.
   InvalidateTable(table.name);
@@ -35,15 +30,6 @@ void CachingSeabedBackend::Prepare(AttachedTable& table) {
 
 void CachingSeabedBackend::Append(AttachedTable& table, const Table& new_rows,
                                   JobStats* stats) {
-  // Snapshot-isolated inner backends synchronize appends internally (the new
-  // version is built off to the side and published with one atomic swap), so
-  // in-flight misses keep executing over their pinned snapshot — no serve
-  // exclusion needed. Legacy backends still require external ordering
-  // against Execute.
-  std::unique_lock<std::shared_mutex> serve_lock(serve_mu_, std::defer_lock);
-  if (!inner_->snapshot_isolated()) {
-    serve_lock.lock();
-  }
   inner_->Append(table, new_rows, stats);
   // Invalidate AFTER the post-append version is published: a miss racing
   // this append either pinned the new version (its result is current) or
@@ -103,21 +89,12 @@ ResultSet CachingSeabedBackend::ExecuteVia(
   const double lookup_seconds = lookup_sw.ElapsedSeconds();
 
   // Miss: run the inner backend outside the cache lock (concurrent queries
-  // must keep overlapping). A snapshot-isolated inner pins its own immutable
-  // version, so no serve lock is needed and a concurrent Append proceeds
-  // unblocked; legacy inner backends take the SHARED serve lock so a
-  // concurrent Prepare/Append cannot mutate their tables mid-query.
+  // must keep overlapping). The inner engine pins its own immutable version,
+  // so a concurrent Append proceeds unblocked.
   QueryStats local_stats;
   QueryStats* inner_stats = stats != nullptr ? stats : &local_stats;
   *inner_stats = QueryStats{};
-  ResultSet result;
-  {
-    std::shared_lock<std::shared_mutex> serve_lock(serve_mu_, std::defer_lock);
-    if (!inner_->snapshot_isolated()) {
-      serve_lock.lock();
-    }
-    result = run_inner(inner_stats);
-  }
+  ResultSet result = run_inner(inner_stats);
 
   std::vector<std::string> tables;
   tables.push_back(bound.table);

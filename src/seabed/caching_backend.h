@@ -34,20 +34,19 @@
 // the same literals share one entry.
 //
 // THREAD SAFETY: fully safe for multi-threaded fronts (seabed::Service).
-// The result cache is internally synchronized. When the inner backend is
-// snapshot-isolated (Executor::snapshot_isolated), appends run concurrently
-// with in-flight misses — each miss executes over its pinned table version
-// and the cache's invalidation epoch fences its insert: a miss whose lookup
-// predates the append's invalidation is dropped instead of republishing a
-// result computed over the old table. Legacy inner backends (no snapshot
-// path) keep the serve rwlock: Prepare/Append exclusive, misses shared.
+// The result cache is internally synchronized, and the decorator takes no
+// lock of its own: the inner Seabed engine pins a published table version
+// per query, so appends run concurrently with in-flight misses. The cache's
+// invalidation epoch fences each miss's insert: a miss whose lookup predates
+// the append's invalidation is dropped instead of republishing a result
+// computed over the old table. Over kPlain or kPaillier (which mutate in
+// place) the caller must order Prepare/Append against Execute.
 #ifndef SEABED_SRC_SEABED_CACHING_BACKEND_H_
 #define SEABED_SRC_SEABED_CACHING_BACKEND_H_
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <shared_mutex>
 #include <string>
 
 #include "src/seabed/executor.h"
@@ -73,7 +72,6 @@ class CachingSeabedBackend : public Executor {
   std::optional<RebalanceStats> rebalance_stats() const override {
     return inner_->rebalance_stats();
   }
-  bool snapshot_isolated() const override { return inner_->snapshot_isolated(); }
 
   // Drops every cached result (plan cache untouched — plans never go stale).
   void InvalidateResults() { results_->InvalidateAll(); }
@@ -94,8 +92,7 @@ class CachingSeabedBackend : public Executor {
  private:
   // The shared miss/hit protocol of Execute and ExecutePrepared: probes the
   // cache under `bound`'s exact fingerprint, else runs `run_inner` (outside
-  // every cache lock, under the serve lock for legacy inner backends) and
-  // publishes its result epoch-fenced.
+  // every cache lock) and publishes its result epoch-fenced.
   ResultSet ExecuteVia(const Query& bound, QueryStats* stats,
                        const std::function<ResultSet(QueryStats*)>& run_inner);
 
@@ -103,15 +100,6 @@ class CachingSeabedBackend : public Executor {
   std::unique_ptr<Executor> inner_;
   std::shared_ptr<SharedResultCache> results_;
   std::shared_ptr<TranslatedPlanCache> plan_cache_;
-
-  // Structural serve lock for LEGACY (non-snapshot-isolated) inner backends:
-  // a miss holds it SHARED across the inner execution; Prepare/Append hold
-  // it EXCLUSIVE while mutating the inner backend's tables. Snapshot-
-  // isolated inner backends synchronize internally, so Append skips this
-  // lock entirely and misses overlap appends (Prepare stays exclusive: a
-  // re-attach also rewires catalog state). Ordered before the result cache's
-  // internal mutex (never acquire serve_mu_ from inside the cache).
-  mutable std::shared_mutex serve_mu_;
 };
 
 }  // namespace seabed

@@ -147,9 +147,12 @@ class Executor {
   virtual void Prepare(AttachedTable& table) = 0;
 
   // Appends `new_rows` to the attached table (paper Section 4.1): grows
-  // `table.plain` and the backend's encrypted state. Snapshot-isolated
-  // backends build a new table version off to the side and publish it with
-  // an atomic swap, so Append may run while queries execute. When `stats`
+  // `table.plain` and the backend's encrypted state. Only the Seabed engine
+  // (kSeabed, kShardedSeabed, and kCachingSeabed over either) may run Append
+  // while Execute calls are in flight: it builds the next table version off
+  // to the side and publishes it with an atomic swap. kPlain and kPaillier
+  // mutate in place, so their callers must order Append against Execute
+  // (seabed::Service refuses to serve them). When `stats`
   // is non-null it receives the ingest job's simulated cluster cost — real
   // measured compute, synthetic parallel fabric, the same contract Execute
   // honors for queries (see src/engine/cluster.h).
@@ -186,13 +189,6 @@ class Executor {
   // backend). A copy taken under the backend's state lock, so it is safe to
   // call while appends run.
   virtual std::optional<RebalanceStats> rebalance_stats() const { return std::nullopt; }
-
-  // True when Execute pins an immutable snapshot instead of relying on
-  // callers for exclusion — appends and queries may then overlap freely
-  // (kSeabed, kShardedSeabed; the caching decorator forwards its inner
-  // backend's answer). The serving layer uses this to drop the quiescing
-  // append barrier and the serve-side reader/writer lock.
-  virtual bool snapshot_isolated() const { return false; }
 };
 
 // Appends `src`'s rows onto `dst`'s plaintext columns. Shared by the

@@ -36,13 +36,20 @@ Service::Service(ServiceOptions options)
     : options_(std::move(options)),
       session_(options_.session),
       plan_cache_(std::make_shared<TranslatedPlanCache>(options_.session.cache.plan_cache_entries)),
-      quiesce_appends_(options_.force_quiesce_appends ||
-                       !session_.executor().snapshot_isolated()),
-      queue_(options_.max_queue_depth, kLanes, /*quiesce_barriers=*/quiesce_appends_) {
+      queue_(options_.max_queue_depth, kLanes) {
   SEABED_CHECK_MSG(options_.num_workers >= 1, "Service needs at least one worker");
+  // Appends overlap in-flight queries, which only the Seabed engine's
+  // published table versions make safe; kPlain and kPaillier mutate in place.
+  const SessionOptions& so = options_.session;
+  const BackendKind engine =
+      so.backend == BackendKind::kCachingSeabed ? so.cache.inner : so.backend;
+  SEABED_CHECK_MSG(engine == BackendKind::kSeabed || engine == BackendKind::kShardedSeabed,
+                   "Service serves only the Seabed engine (kSeabed, kShardedSeabed, or "
+                   "kCachingSeabed over one of them), not "
+                       << BackendKindName(engine));
   SEABED_CHECK_MSG(options_.max_batch >= 1, "max_batch must be >= 1");
-  // Share one translated-plan memo across every worker. A no-op on backends
-  // that keep their own (kCachingSeabed) or never translate (kPlain).
+  // Share one translated-plan memo across every worker. A no-op on
+  // kCachingSeabed, which installs its own into the engine.
   session_.executor().SetPlanCache(plan_cache_);
   if (options_.autostart) {
     Start();
@@ -159,6 +166,7 @@ std::vector<std::future<ServiceResult>> Service::SubmitBatch(std::vector<Query> 
 std::future<ServiceResult> Service::SubmitAppend(std::string table,
                                                  std::shared_ptr<const Table> rows) {
   SEABED_CHECK_MSG(rows != nullptr, "SubmitAppend requires rows");
+  counters_.submitted.fetch_add(1, std::memory_order_relaxed);
   Job job;
   job.kind = Job::Kind::kAppend;
   job.append_table = std::move(table);
@@ -231,10 +239,8 @@ void Service::WorkerLoop() {
     }
     if (group.front().kind == Job::Kind::kAppend) {
       RunAppend(std::move(group.front()));  // thaws the queue itself
-      queue_.GroupDone();
     } else {
       RunGroup(std::move(group));
-      queue_.GroupDone();
     }
   }
 }
@@ -245,38 +251,22 @@ void Service::RunAppend(Job job) {
   // The backend reports the ingest job's modeled fabric cost (real measured
   // compute, synthetic parallelism — the same contract queries honor), and
   // pace_modeled_latency sleeps it out just like RunGroup does for queries.
-  // WHERE that time passes is exactly the A/B under test below.
   JobStats ingest;
-  if (quiesce_appends_) {
-    // Legacy path: the queue barrier already quiesced every query group; the
-    // exclusive serve lock additionally excludes a concurrent direct Attach.
-    // The modeled ingest time passes with the service still locked and the
-    // queue still frozen — while the cluster chews on the batch this path
-    // has no way to serve around it. That stall is the discipline the
-    // snapshot path deletes.
-    std::unique_lock<std::shared_mutex> lock(serve_mu_);
+  {
+    // The engine builds the next table version off to the side and publishes
+    // it atomically, so in-flight query groups (holding this lock shared)
+    // keep running against their pinned versions. Shared here only to
+    // exclude a concurrent Attach rewiring the catalog.
+    std::shared_lock<std::shared_mutex> lock(serve_mu_);
     session_.Append(job.append_table, *job.append_rows, &ingest);
-    if (options_.pace_modeled_latency && ingest.server_seconds > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(ingest.server_seconds));
-    }
-    queue_.Thaw();
-  } else {
-    {
-      // Snapshot path: the backend builds the next table version off to the
-      // side and publishes it atomically, so in-flight query groups (holding
-      // this lock shared) keep running against their pinned versions. Shared
-      // here only to exclude a concurrent Attach rewiring the catalog.
-      std::shared_lock<std::shared_mutex> lock(serve_mu_);
-      session_.Append(job.append_table, *job.append_rows, &ingest);
-    }
-    // The new version is published, so later-queued queries may dispatch now
-    // (preserving SubmitAppend's ordering contract: they observe the append).
-    // Only the appender's own completion waits out the modeled fabric time,
-    // off to the side of the serving path.
-    queue_.Thaw();
-    if (options_.pace_modeled_latency && ingest.server_seconds > 0) {
-      std::this_thread::sleep_for(std::chrono::duration<double>(ingest.server_seconds));
-    }
+  }
+  // The new version is published, so later-queued queries may dispatch now
+  // (SubmitAppend's ordering contract: they observe the append). Only the
+  // appender's own completion waits out the modeled fabric time, off to the
+  // side of the serving path.
+  queue_.Thaw();
+  if (options_.pace_modeled_latency && ingest.server_seconds > 0) {
+    std::this_thread::sleep_for(std::chrono::duration<double>(ingest.server_seconds));
   }
   // The span covers the modeled-latency pacing, mirroring query groups: the
   // sleep stands in for the simulated cluster's ingest work.

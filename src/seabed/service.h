@@ -2,9 +2,12 @@
 // concurrent traffic").
 //
 // Every backend built so far executes on the caller's thread; the paper's
-// setting is the opposite — many analysts hammering one dashboard deployment.
-// Service puts a real serving layer in front of one configured Session (any
-// BackendKind, including caching/sharded stacks):
+// setting is the opposite — many analysts hammering one dashboard deployment
+// while new rows stream in (Section 4.1). Service puts a real serving layer
+// in front of one configured Session over the Seabed engine: kSeabed,
+// kShardedSeabed, or kCachingSeabed over one of them. Any other stack aborts
+// at construction — kPlain and kPaillier mutate their tables in place, so an
+// append could tear a query running beside it.
 //
 //   ServiceOptions opts;
 //   opts.session.backend = BackendKind::kShardedSeabed;
@@ -34,17 +37,13 @@
 //     (SubmitPrepared) batch on the prepared handle's shape and serve as one
 //     Session::ExecutePreparedBatch — the group binds per member but
 //     translates at most once, ever;
-//   * appends ride the SAME queue as barrier jobs. On snapshot-isolated
-//     backends (Executor::snapshot_isolated — kSeabed, kShardedSeabed and
-//     caching stacks over them) the barrier is ORDERING ONLY: the append
+//   * appends ride the SAME queue as ordering-only barrier jobs. The append
 //     runs concurrently with in-flight query groups (each pinned to its own
 //     published table version) and merely holds back work queued after it
-//     until the new version is published — appends never block queries.
-//     Legacy backends keep the quiescing barrier: the queue waits out
-//     in-flight groups, runs the append exclusively, then thaws. Either
-//     way every query observes either the pre- or post-append table, never
-//     a torn state, and same-lane queries submitted after the append are
-//     guaranteed the post-append table. The priority lanes may reorder
+//     until the engine has published the new version — appends never block
+//     queries. Every query observes either the pre- or post-append table,
+//     never a torn state, and same-lane queries submitted after the append
+//     are guaranteed the post-append table. The priority lanes may reorder
 //     dispatch across lanes, so a kBatch query still queued when an append
 //     (lane 0) dispatches observes the post-append table.
 //
@@ -114,8 +113,12 @@ struct ServiceResult {
 };
 
 // Monotonic service-lifetime counters (snapshot via Service::counters()).
+// Every Submit* call counts once in `submitted`, queries and appends alike,
+// and ends in exactly one outcome counter, so once the queue has drained:
+//   submitted == executed + appends + expired + rejected_queue_full
+//                + rejected_shutdown
 struct ServiceCounters {
-  uint64_t submitted = 0;
+  uint64_t submitted = 0;  // every Submit/SubmitPrepared/SubmitAppend call
   uint64_t rejected_queue_full = 0;
   uint64_t rejected_shutdown = 0;
   uint64_t expired = 0;
@@ -127,8 +130,10 @@ struct ServiceCounters {
 };
 
 struct ServiceOptions {
-  // The session stack the service owns and serves (backend, shards, cache,
-  // probe — everything Session supports).
+  // The session stack the service owns and serves (shards, cache, probe —
+  // everything Session supports), over the Seabed engine: `backend` must be
+  // kSeabed, kShardedSeabed, or kCachingSeabed with `cache.inner` one of
+  // those two.
   SessionOptions session;
 
   // Worker threads pumping the queue. More workers than cores is deliberate:
@@ -155,11 +160,6 @@ struct ServiceOptions {
   // Spawn workers in the constructor. Tests that probe pure queue behavior
   // (admission, drop-on-shutdown) set false and never Start().
   bool autostart = true;
-
-  // Forces the legacy quiescing append barrier (and the exclusive serve
-  // lock) even on snapshot-isolated backends. The appends-block-queries
-  // baseline for A/B benches (bench_fig15_snapshot); leave off in real use.
-  bool force_quiesce_appends = false;
 
   // Test-only: runs on the worker after a query group is dequeued, before
   // the dispatch-time deadline re-check and execution. Lets tests widen the
@@ -202,8 +202,11 @@ class Service {
   std::future<ServiceResult> SubmitPrepared(const PreparedQuery& prepared,
                                             std::vector<Value> params,
                                             SubmitOptions options = {});
-  // Queues an exclusive barrier job appending `rows` to `table`. Completes
-  // after everything dequeued before it and before everything queued after.
+  // Queues a barrier job appending `rows` to `table` on the kInteractive
+  // lane. The contract is dispatch order plus publish-before-thaw: the
+  // append dispatches once every job ahead of it in that lane has been
+  // dequeued (those may still be running, over either version), and no
+  // other job dispatches until the post-append version is published.
   std::future<ServiceResult> SubmitAppend(std::string table,
                                           std::shared_ptr<const Table> rows);
 
@@ -258,22 +261,14 @@ class Service {
   // Shared (not owned solely by the service) so SetPlanCache's installee can
   // outlive a torn-down service without dangling.
   std::shared_ptr<TranslatedPlanCache> plan_cache_;
-  // True when appends must exclude queries: the backend is not snapshot-
-  // isolated (or force_quiesce_appends is set). Decides both the queue's
-  // barrier mode and RunAppend's serve-lock mode. Initialized after
-  // session_, before queue_ — declaration order matters.
-  const bool quiesce_appends_;
   MpmcQueue<Job> queue_;
   std::vector<std::thread> workers_;
   std::atomic<bool> accepting_{true};
   std::atomic<bool> started_{false};
   std::atomic<uint64_t> dispatch_seq_{0};
 
-  // Excludes setup (Attach, exclusive) from serving (query groups, shared).
-  // Appends on snapshot-isolated backends hold it SHARED — they overlap
-  // query groups by design and only need to exclude a concurrent Attach.
-  // With quiesce_appends_ the queue barrier has already drained in-flight
-  // groups, so the append's exclusive acquisition cannot deadlock.
+  // Excludes setup (Attach, exclusive) from serving (query groups, Prepare
+  // and appends, all shared — appends overlap query groups by design).
   std::shared_mutex serve_mu_;
 
   struct Counters {

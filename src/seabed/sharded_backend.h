@@ -106,7 +106,6 @@ class ShardedSeabedBackend : public Executor {
   void SetPlanCache(std::shared_ptr<TranslatedPlanCache> cache) override {
     plan_cache_ = std::move(cache);
   }
-  bool snapshot_isolated() const override { return true; }
   std::optional<RebalanceStats> rebalance_stats() const override;
 
   size_t num_shards() const { return shards_; }

@@ -46,17 +46,14 @@ TEST(MpmcQueueTest, PopGroupBatchesConsecutiveSameShape) {
   ASSERT_EQ(group.size(), 3u);
   EXPECT_EQ(group[0].id, 0);
   EXPECT_EQ(group[2].id, 2);
-  q.GroupDone();
 
   group.clear();
   EXPECT_EQ(q.PopGroup(&group, 8, SameShape, IsBarrier), 1u);
   EXPECT_EQ(group[0].id, 3);
-  q.GroupDone();
 
   group.clear();
   EXPECT_EQ(q.PopGroup(&group, 8, SameShape, IsBarrier), 1u);
   EXPECT_EQ(group[0].id, 4);
-  q.GroupDone();
 }
 
 TEST(MpmcQueueTest, PopGroupHonorsMaxBatch) {
@@ -64,7 +61,6 @@ TEST(MpmcQueueTest, PopGroupHonorsMaxBatch) {
   for (int i = 0; i < 5; ++i) q.TryPush({i, "sum", false});
   std::vector<Item> group;
   EXPECT_EQ(q.PopGroup(&group, 2, SameShape, IsBarrier), 2u);
-  q.GroupDone();
   EXPECT_EQ(q.size(), 3u);
 }
 
@@ -75,7 +71,6 @@ TEST(MpmcQueueTest, LowerLaneWins) {
   std::vector<Item> group;
   EXPECT_EQ(q.PopGroup(&group, 8, SameShape, IsBarrier), 1u);
   EXPECT_EQ(group[0].id, 2);  // lane 0 first even though pushed later
-  q.GroupDone();
 }
 
 TEST(MpmcQueueTest, CloseDrainsThenReturnsZero) {
@@ -84,7 +79,6 @@ TEST(MpmcQueueTest, CloseDrainsThenReturnsZero) {
   q.Close();
   std::vector<Item> group;
   EXPECT_EQ(q.PopGroup(&group, 8, SameShape, IsBarrier), 1u);
-  q.GroupDone();
   group.clear();
   EXPECT_EQ(q.PopGroup(&group, 8, SameShape, IsBarrier), 0u);  // drained + closed
 }
@@ -101,7 +95,10 @@ TEST(MpmcQueueTest, DrainRipsOutBacklog) {
   EXPECT_TRUE(q.TryPush({3, "a", false}));  // drain does not close
 }
 
-TEST(MpmcQueueTest, BarrierWaitsForActiveGroupsAndRunsAlone) {
+// The barrier orders, it does not exclude: it pops while a group popped
+// before it is still unfinished, and holds back everything queued after it
+// until Thaw().
+TEST(MpmcQueueTest, BarrierPopsBesideUnfinishedGroupsAndHoldsLaterItemsUntilThaw) {
   MpmcQueue<Item> q(16);
   q.TryPush({1, "sum", false});
   q.TryPush({2, "", true});  // barrier
@@ -111,27 +108,26 @@ TEST(MpmcQueueTest, BarrierWaitsForActiveGroupsAndRunsAlone) {
   ASSERT_EQ(q.PopGroup(&first, 8, SameShape, IsBarrier), 1u);
   EXPECT_EQ(first[0].id, 1);  // group stops at the barrier
 
-  std::atomic<int> stage{0};
-  std::thread barrier_worker([&] {
-    std::vector<Item> g;
-    ASSERT_EQ(q.PopGroup(&g, 8, SameShape, IsBarrier), 1u);  // blocks on quiesce
-    EXPECT_TRUE(g[0].barrier);
-    stage.store(1);
-    q.Thaw();
-    q.GroupDone();
-  });
+  // Group 1 is never reported finished, yet the barrier pops at once.
+  std::vector<Item> barrier;
+  ASSERT_EQ(q.PopGroup(&barrier, 8, SameShape, IsBarrier), 1u);
+  EXPECT_TRUE(barrier[0].barrier);
 
-  // The barrier must not pop while group 1 is still active.
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_EQ(stage.load(), 0);
-  q.GroupDone();  // finish group 1 -> barrier proceeds
-  barrier_worker.join();
-  EXPECT_EQ(stage.load(), 1);
-
+  std::atomic<bool> popped{false};
   std::vector<Item> last;
-  EXPECT_EQ(q.PopGroup(&last, 8, SameShape, IsBarrier), 1u);
+  std::thread consumer([&] {
+    ASSERT_EQ(q.PopGroup(&last, 8, SameShape, IsBarrier), 1u);
+    popped.store(true);
+  });
+  // Item 3 is queued but frozen behind the barrier.
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(popped.load());
+  EXPECT_EQ(q.size(), 1u);
+
+  q.Thaw();
+  consumer.join();
+  EXPECT_TRUE(popped.load());
   EXPECT_EQ(last[0].id, 3);
-  q.GroupDone();
 }
 
 TEST(MpmcQueueTest, ConcurrentProducersConsumersDeliverEverythingOnce) {
@@ -152,7 +148,6 @@ TEST(MpmcQueueTest, ConcurrentProducersConsumersDeliverEverythingOnce) {
           counts[static_cast<size_t>(item.id)].fetch_add(1);
           seen.fetch_add(1);
         }
-        q.GroupDone();
       }
     });
   }

@@ -403,8 +403,8 @@ TEST_F(CachingBackendTest, BatchedRepeatsShareOneColdRun) {
 }
 
 // Satellite regression for the invalidation-epoch race: warm lookups and
-// appends run concurrently now (the snapshot-isolated inner backend lets
-// Append skip the serve lock), so the epoch fence is genuinely contended —
+// appends run concurrently (the decorator takes no lock of its own; the
+// inner engine publishes versions), so the epoch fence is genuinely contended —
 // epoch_ is atomic with acquire/release ordering, and a miss whose lookup
 // predates an append's invalidation must drop its insert instead of
 // republishing a pre-append result. Every answer observed mid-race must

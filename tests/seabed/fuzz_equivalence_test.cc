@@ -692,12 +692,12 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SkewedAppendFuzzTest, ::testing::Values(7, 19, 4
 // each query pins one published table version, so it must equal the pre- OR
 // the post-append reference — anything else (torn reads, stale caches, lost
 // rows) fails both. No lane gets a byte-for-byte pre-append guarantee
-// anymore: the append's barrier is ordering-only on snapshot-isolated
-// backends, so a query dequeued before the barrier may still pin the
-// post-append version if the append publishes first. The flip side is the
-// tentpole's observable claim — appends never block queries — asserted via
-// the exec spans: across the run, some append's wall-time span must overlap
-// a concurrently executing query group's span. The backend stack rotates
+// anymore: the append's barrier is ordering-only, so a query dequeued before
+// the barrier may still pin the post-append version if the append publishes
+// first. The flip side is the observable claim — appends never block
+// queries — asserted via the exec spans: across the run, some append's
+// wall-time span must overlap a concurrently executing query group's span.
+// The backend stack rotates
 // with the seed (single-server, sharded fan-out, caching over sharded), so
 // the axis covers every snapshot read path.
 class ServiceConcurrencyFuzzTest : public ::testing::TestWithParam<uint64_t> {};
@@ -840,7 +840,8 @@ TEST_P(ServiceConcurrencyFuzzTest, ThreadedServiceStreamEqualsSequentialPlain) {
     }
   }
   // Across the whole run some append must have executed WHILE a query group
-  // was executing — the quiescing barrier would have made that impossible.
+  // was executing — an append discipline that excluded queries would make
+  // that impossible.
   EXPECT_GT(append_query_overlaps, 0u);
 
   service.Shutdown();

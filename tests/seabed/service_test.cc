@@ -342,18 +342,17 @@ TEST_F(ServiceTest, DeadlineRecheckedAtDispatch) {
   EXPECT_EQ(c.executed, 0u);
 }
 
-// The tentpole's serving-layer claim, deterministically: a query group paced
-// through modeled latency is mid-execution when an append dispatches; on a
-// snapshot-isolated backend the append completes INSIDE the query's span.
-// force_quiesce_appends restores the legacy exclusion — the same scenario
-// then strictly orders the append after the query's span.
-TEST_F(ServiceTest, AppendOverlapsPacedQueriesUnlessForcedToQuiesce) {
-  for (const bool force_quiesce : {false, true}) {
-    SCOPED_TRACE(force_quiesce ? "force-quiesce" : "snapshot");
-    ServiceOptions options = TestServiceOptions(BackendKind::kSeabed);
+// The serving-layer claim, deterministically: a query group paced through
+// modeled latency is mid-execution when an append dispatches, and the append
+// completes INSIDE the query's span — on every stack Service accepts.
+TEST_F(ServiceTest, AppendOverlapsPacedQueries) {
+  for (const BackendKind backend :
+       {BackendKind::kSeabed, BackendKind::kShardedSeabed, BackendKind::kCachingSeabed}) {
+    SCOPED_TRACE(BackendKindName(backend));
+    ServiceOptions options = TestServiceOptions(backend);
+    options.session.cache.inner = BackendKind::kShardedSeabed;
     options.session.cluster.job_overhead_seconds = 0.2;  // modeled, slept out
     options.pace_modeled_latency = true;
-    options.force_quiesce_appends = force_quiesce;
     options.num_workers = 2;
     std::unique_ptr<Service> service = MakeService(std::move(options));
     std::shared_ptr<Table> batch = MakeSyntheticTable(TestSpec(/*rows=*/60, /*seed=*/11));
@@ -370,15 +369,64 @@ TEST_F(ServiceTest, AppendOverlapsPacedQueriesUnlessForcedToQuiesce) {
     ServiceResult query_r = query.get();
     ASSERT_TRUE(append_r.ok) << append_r.error;
     ASSERT_TRUE(query_r.ok) << query_r.error;
-    const bool overlapped = append_r.stats.exec_begin < query_r.stats.exec_end &&
-                            query_r.stats.exec_begin < append_r.stats.exec_end;
-    if (force_quiesce) {
-      EXPECT_FALSE(overlapped);
-      EXPECT_GE(append_r.stats.exec_begin, query_r.stats.exec_end);
-    } else {
-      EXPECT_TRUE(overlapped);
+    EXPECT_LT(append_r.stats.exec_begin, query_r.stats.exec_end);
+    EXPECT_LT(query_r.stats.exec_begin, append_r.stats.exec_end);
+    service->Shutdown();
+  }
+}
+
+// Every Submit* call counts in `submitted`, appends included, and lands in
+// exactly one outcome counter — through queue-full rejections, shutdown
+// rejections (queued and late) and served work alike.
+TEST_F(ServiceTest, CountersBalanceForQueriesAndAppends) {
+  auto balanced = [](const ServiceCounters& c) {
+    return c.submitted ==
+           c.executed + c.appends + c.expired + c.rejected_queue_full + c.rejected_shutdown;
+  };
+  std::shared_ptr<Table> batch = MakeSyntheticTable(TestSpec(/*rows=*/50, /*seed=*/5));
+  {
+    ServiceOptions options = TestServiceOptions(BackendKind::kSeabed);
+    options.autostart = false;
+    options.max_queue_depth = 2;
+    std::unique_ptr<Service> service = MakeService(std::move(options));
+    std::vector<std::future<ServiceResult>> full;
+    std::vector<std::future<ServiceResult>> shut;
+    shut.push_back(service->Submit(SyntheticSumQuery(40)));       // queued
+    shut.push_back(service->SubmitAppend("synthetic", batch));    // queued
+    full.push_back(service->Submit(SyntheticSumQuery(40)));       // queue full
+    full.push_back(service->SubmitAppend("synthetic", batch));    // queue full
+    service->Shutdown(/*drain=*/false);                           // fails the queued two
+    shut.push_back(service->Submit(SyntheticSumQuery(40)));       // after shutdown
+    shut.push_back(service->SubmitAppend("synthetic", batch));    // after shutdown
+    for (auto& f : full) {
+      EXPECT_EQ(f.get().stats.admission, AdmissionOutcome::kRejectedQueueFull);
+    }
+    for (auto& f : shut) {
+      EXPECT_EQ(f.get().stats.admission, AdmissionOutcome::kRejectedShutdown);
+    }
+    const ServiceCounters c = service->counters();
+    EXPECT_EQ(c.submitted, 6u);
+    EXPECT_EQ(c.rejected_queue_full, 2u);
+    EXPECT_EQ(c.rejected_shutdown, 4u);
+    EXPECT_TRUE(balanced(c));
+  }
+  {
+    std::unique_ptr<Service> service = MakeService(TestServiceOptions(BackendKind::kSeabed));
+    SubmitOptions expired;
+    expired.deadline = std::chrono::steady_clock::now() - std::chrono::seconds(1);
+    std::vector<std::future<ServiceResult>> futures;
+    futures.push_back(service->Submit(SyntheticSumQuery(40)));
+    futures.push_back(service->Submit(SyntheticSumQuery(40), expired));
+    futures.push_back(service->SubmitAppend("synthetic", batch));
+    for (auto& f : futures) {
+      f.wait();
     }
     service->Shutdown();
+    const ServiceCounters c = service->counters();
+    EXPECT_EQ(c.submitted, 3u);
+    EXPECT_EQ(c.appends, 1u);
+    EXPECT_EQ(c.expired, 1u);
+    EXPECT_TRUE(balanced(c));
   }
 }
 
@@ -477,6 +525,89 @@ TEST_P(ServiceConcurrencyTest, ConcurrentSubmittersMatchPlainReference) {
   EXPECT_EQ(service->counters().executed, static_cast<uint64_t>(kThreads * kPerThread));
 }
 
+// The same traffic with an append stream to the queried table racing it:
+// every answer must equal kPlain's at SOME append prefix (each query pins one
+// published version), every append must be acknowledged, and once the last
+// append is acknowledged a query sees the final prefix exactly.
+TEST_P(ServiceConcurrencyTest, SubmittersRacingAnAppenderMatchPlainAtSomePrefix) {
+  ServiceOptions options = TestServiceOptions(GetParam());
+  options.num_workers = 6;
+  std::unique_ptr<Service> service = MakeService(std::move(options));
+
+  constexpr size_t kAppends = 10;
+  std::vector<std::shared_ptr<Table>> batches;
+  for (size_t j = 0; j < kAppends; ++j) {
+    batches.push_back(MakeSyntheticTable(TestSpec(/*rows=*/40, /*seed=*/1000 + j)));
+  }
+  const std::vector<Query> pool = MixedQueries();
+  // expected[j][q]: query q's plain answer after the first j appends.
+  std::vector<std::vector<std::vector<std::string>>> expected(kAppends + 1);
+  for (size_t j = 0; j <= kAppends; ++j) {
+    for (const Query& q : pool) {
+      expected[j].push_back(RowsAsStrings(plain_.Execute(q)));
+    }
+    if (j < kAppends) {
+      plain_.Append("synthetic", *batches[j]);
+    }
+  }
+  auto matches_some_prefix = [&](size_t pick, const ServiceResult& r) {
+    if (!r.ok) {
+      return false;
+    }
+    const std::vector<std::string> got = RowsAsStrings(r.rows);
+    for (size_t j = 0; j <= kAppends; ++j) {
+      if (got == expected[j][pick]) {
+        return true;
+      }
+    }
+    return false;
+  };
+
+  constexpr int kThreads = 4;
+  constexpr int kMinPerThread = 10;
+  std::atomic<bool> appends_done{false};
+  std::atomic<int> mismatches{0};
+  std::atomic<int> answered{0};
+  std::vector<std::thread> submitters;
+  for (int t = 0; t < kThreads; ++t) {
+    submitters.emplace_back([&, t] {
+      // Closed loop until the append stream is over, so queries keep racing
+      // every append.
+      for (int i = 0; i < kMinPerThread || !appends_done.load(); ++i) {
+        const size_t pick = static_cast<size_t>((t * 7 + i) % pool.size());
+        SubmitOptions submit;
+        submit.lane = (i % 3 == 0) ? ServiceLane::kBatch : ServiceLane::kInteractive;
+        if (!matches_some_prefix(pick, service->Submit(pool[pick], submit).get())) {
+          mismatches.fetch_add(1);
+        }
+        answered.fetch_add(1);
+      }
+    });
+  }
+  int acknowledged = 0;
+  std::thread appender([&] {
+    for (size_t j = 0; j < kAppends; ++j) {
+      acknowledged += service->SubmitAppend("synthetic", batches[j]).get().ok ? 1 : 0;
+    }
+    appends_done.store(true);
+  });
+  appender.join();
+  for (std::thread& t : submitters) {
+    t.join();
+  }
+  EXPECT_EQ(acknowledged, static_cast<int>(kAppends));
+  EXPECT_EQ(mismatches.load(), 0);
+  for (size_t pick = 0; pick < pool.size(); ++pick) {
+    ServiceResult r = service->Submit(pool[pick]).get();
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_EQ(RowsAsStrings(r.rows), expected[kAppends][pick]);
+  }
+  service->Shutdown();
+  const ServiceCounters c = service->counters();
+  EXPECT_EQ(c.appends, kAppends);
+  EXPECT_EQ(c.executed, static_cast<uint64_t>(answered.load()) + pool.size());
+}
+
 INSTANTIATE_TEST_SUITE_P(Backends, ServiceConcurrencyTest,
                          ::testing::Values(BackendKind::kSeabed, BackendKind::kShardedSeabed,
                                            BackendKind::kCachingSeabed),
@@ -485,6 +616,29 @@ INSTANTIATE_TEST_SUITE_P(Backends, ServiceConcurrencyTest,
                            name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
                            return name;
                          });
+
+// Appends overlap in-flight queries, which only the Seabed engine's
+// published versions make safe, so Service refuses every other stack at
+// construction with a message.
+TEST(ServiceDeathTest, RefusesStacksOtherThanTheSeabedEngine) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  struct Stack {
+    BackendKind backend;
+    BackendKind inner;
+    const char* engine;
+  };
+  for (const Stack& stack : {Stack{BackendKind::kPlain, BackendKind::kSeabed, "plain"},
+                             Stack{BackendKind::kPaillier, BackendKind::kSeabed, "paillier"},
+                             Stack{BackendKind::kCachingSeabed, BackendKind::kPlain, "plain"}}) {
+    SCOPED_TRACE(BackendKindName(stack.backend));
+    ServiceOptions options = TestServiceOptions(stack.backend);
+    options.session.cache.inner = stack.inner;
+    options.session.paillier.modulus_bits = 256;
+    options.autostart = false;
+    EXPECT_DEATH({ Service service(options); },
+                 std::string("Service serves only the Seabed engine.*not ") + stack.engine);
+  }
+}
 
 }  // namespace
 }  // namespace seabed
