@@ -9,15 +9,18 @@
 // rows before they enter the DET hash index, and the fact scan probes that
 // index with the rows that survive the fact-side predicates.
 //
-// This bench runs selective filter queries single-threaded and records each
-// point's server time as a regression record (scripts/compare_bench.py gates
-// it against bench/baseline/). Points: a DET equality, an ORE range, the two
+// This bench runs filter queries single-threaded and records each point's
+// server time as a regression record (scripts/compare_bench.py gates it
+// against bench/baseline/). Points: a DET equality, an ORE range, the two
 // combined, an ASHE sum over the DET selection, and a DET join under a
-// selective fact-side ORE window with one plain right-table filter.
+// selective fact-side ORE window with one plain right-table filter — all
+// low-selectivity (0.1-3%), so they time the filter. Then the aggregation
+// half, under one 50% ORE window: COUNT, SUM and SUM ... GROUP BY a DET
+// column; and a join whose fact rows meet several right rows each, with a
+// fact-side and a right-side SUM.
 //
 // Single worker and zeroed cluster/link overheads: the kernels set per-row
-// scan cost, and fixed dispatch constants would only dilute it. Selectivities
-// are low (0.1-3%) so aggregation work stays small against the scan.
+// scan cost, and fixed dispatch constants would only dilute it.
 //
 // Exit status is the correctness gate: every point's answer and rows_touched
 // must equal a kPlain session's over the same tables.
@@ -87,13 +90,17 @@ std::shared_ptr<Table> MakeDimTable() {
   auto table = std::make_shared<Table>("dims");
   auto key = std::make_shared<Int64Column>();
   auto w = std::make_shared<Int64Column>();
+  auto score = std::make_shared<Int64Column>();
   Rng rng(1719);
+  Rng score_rng(1720);  // own stream: key and w match earlier records
   for (size_t i = 0; i < kDimRows; ++i) {
     key->Append(static_cast<int64_t>(rng.Below(kDimKeys)));
     w->Append(static_cast<int64_t>(rng.Below(100)));
+    score->Append(static_cast<int64_t>(score_rng.Below(1000)));
   }
   table->AddColumn("key", key);
   table->AddColumn("w", w);
+  table->AddColumn("score", score);
   return table;
 }
 
@@ -117,6 +124,7 @@ PlainSchema DimSchema() {
   schema.table_name = "dims";
   schema.columns.push_back({"key", ColumnType::kInt64, true, std::nullopt});
   schema.columns.push_back({"w", ColumnType::kInt64, false, std::nullopt});
+  schema.columns.push_back({"score", ColumnType::kInt64, true, std::nullopt});
   return schema;
 }
 
@@ -132,6 +140,22 @@ Query JoinQuery() {
   return q;
 }
 
+// The join-multiplicity point: the same ORE window, no right-side filter,
+// so every fact key meets all of its right rows (1.67 on average, up to ~8):
+// the fact-side sum's ids repeat per match, and the right-side sum's ids
+// arrive in probe order.
+Query JoinMultiplicityQuery() {
+  Query q;
+  q.table = "scan";
+  q.join = Join{"dims", "key", "right:key"};
+  q.Sum("value", "total").Sum("right:score", "score").Count("n");
+  q.Where("ts", CmpOp::kLt, kTsPivot + kTsSpan / 1024);
+  return q;
+}
+
+// The 50% ORE window of the aggregation-half points.
+constexpr int64_t kTsHalf = kTsPivot + kTsSpan / 2;
+
 std::vector<Query> ScanSamples() {
   // seg in a GROUP BY -> DET (a SPLASHE-splayed filter leaves no server
   // predicate to vectorize); a range filter on ts -> ORE; Sum(value) -> ASHE;
@@ -145,6 +169,7 @@ std::vector<Query> ScanSamples() {
   q.GroupBy("seg");
   samples.push_back(q);
   samples.push_back(JoinQuery());
+  samples.push_back(JoinMultiplicityQuery());
   return samples;
 }
 
@@ -152,7 +177,7 @@ std::vector<Query> DimSamples() {
   Query q;
   q.table = "dims";
   q.join = Join{"scan", "key", "right:key"};
-  q.Count("n");
+  q.Count("n").Sum("score");
   return {q};
 }
 
@@ -199,6 +224,32 @@ std::vector<Point> Points() {
     points.push_back({"sum", std::move(q)});
   }
   points.push_back({"join", JoinQuery()});
+  // The aggregation half: one 50% ORE window, then COUNT (a popcount per
+  // bitmap word), SUM (a masked sum plus the bitmap's set-bit runs as the ID
+  // list) and SUM ... GROUP BY a DET column (group ordinals per row).
+  {
+    Query q;
+    q.table = "scan";
+    q.Count("n");
+    q.Where("ts", CmpOp::kLt, kTsHalf);
+    points.push_back({"half_cnt", std::move(q)});
+  }
+  {
+    Query q;
+    q.table = "scan";
+    q.Sum("value", "total");
+    q.Where("ts", CmpOp::kLt, kTsHalf);
+    points.push_back({"half_sum", std::move(q)});
+  }
+  {
+    Query q;
+    q.table = "scan";
+    q.Sum("value", "total");
+    q.Where("ts", CmpOp::kLt, kTsHalf);
+    q.GroupBy("seg");
+    points.push_back({"half_grp", std::move(q)});
+  }
+  points.push_back({"join_k", JoinMultiplicityQuery()});
   return points;
 }
 

@@ -19,20 +19,48 @@ IdSet IdSet::FromRange(uint64_t lo, uint64_t hi) {
   return s;
 }
 
-void IdSet::Add(uint64_t id) {
-  if (!runs_.empty()) {
-    Run& back = runs_.back();
-    if (id == back.hi + 1 && back.count == 1) {
-      back.hi = id;  // extend the trailing run — the common sequential case
-      return;
-    }
-    if (id <= back.hi) {
-      runs_.push_back({id, id, 1});
-      Normalize();
-      return;
-    }
+void IdSet::AddAtOrBefore(uint64_t id) {
+  // First run ending at or after `id`: the trailing run when ids arrive in
+  // order, found by binary search otherwise.
+  auto ends_before = [](const Run& r, uint64_t v) { return r.hi < v; };
+  const size_t i = id >= runs_.back().lo
+                       ? runs_.size() - 1
+                       : static_cast<size_t>(
+                             std::lower_bound(runs_.begin(), runs_.end(), id, ends_before) -
+                             runs_.begin());
+  if (i == runs_.size() || id < runs_[i].lo) {
+    // Not yet present: a new singleton run, merged with equal-count neighbours.
+    runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(i), Run{id, id, 1});
+    CoalesceAround(i);
+    return;
   }
-  runs_.push_back({id, id, 1});
+  // Present in runs_[i]: split it around `id`, whose multiplicity grows.
+  const Run r = runs_[i];
+  Run parts[3];
+  size_t n = 0;
+  if (r.lo < id) {
+    parts[n++] = {r.lo, id - 1, r.count};
+  }
+  const size_t mid = i + n;
+  parts[n++] = {id, id, r.count + 1};
+  if (id < r.hi) {
+    parts[n++] = {id + 1, r.hi, r.count};
+  }
+  runs_[i] = parts[0];
+  runs_.insert(runs_.begin() + static_cast<std::ptrdiff_t>(i) + 1, parts + 1, parts + n);
+  CoalesceAround(mid);
+}
+
+void IdSet::CoalesceAround(size_t i) {
+  if (i + 1 < runs_.size() && runs_[i].hi + 1 == runs_[i + 1].lo &&
+      runs_[i].count == runs_[i + 1].count) {
+    runs_[i].hi = runs_[i + 1].hi;
+    runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(i) + 1);
+  }
+  if (i > 0 && runs_[i - 1].hi + 1 == runs_[i].lo && runs_[i - 1].count == runs_[i].count) {
+    runs_[i - 1].hi = runs_[i].hi;
+    runs_.erase(runs_.begin() + static_cast<std::ptrdiff_t>(i));
+  }
 }
 
 void IdSet::AddRange(uint64_t lo, uint64_t hi) {

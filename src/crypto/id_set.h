@@ -37,10 +37,23 @@ class IdSet {
   // Contiguous range [lo, hi] with multiplicity 1.
   static IdSet FromRange(uint64_t lo, uint64_t hi);
 
-  // Appends `id` with multiplicity 1. Amortized O(1) when ids arrive in
-  // non-decreasing order (the server's aggregation loop); falls back to a
-  // general merge otherwise.
-  void Add(uint64_t id);
+  // Adds `id` (multiplicity 1). O(1) when ids arrive in non-decreasing
+  // order (the server's aggregation loop); a repeat of the last id, such as
+  // a fact row joined to several right rows, raises its multiplicity. An
+  // earlier id splices into place by binary search, never by re-sorting the
+  // run vector.
+  void Add(uint64_t id) {
+    if (runs_.empty() || id > runs_.back().hi) {
+      Run* back = runs_.empty() ? nullptr : &runs_.back();
+      if (back != nullptr && id == back->hi + 1 && back->count == 1) {
+        back->hi = id;  // extend the trailing run — the common sequential case
+      } else {
+        runs_.push_back({id, id, 1});
+      }
+      return;
+    }
+    AddAtOrBefore(id);
+  }
 
   // Appends the contiguous range [lo, hi] (multiplicity 1).
   void AddRange(uint64_t lo, uint64_t hi);
@@ -76,6 +89,10 @@ class IdSet {
   std::vector<Run> runs_;
 
   void Normalize();
+  // Add of an id no greater than the last run's hi.
+  void AddAtOrBefore(uint64_t id);
+  // Merges runs_[i] into its neighbours where they touch with equal count.
+  void CoalesceAround(size_t i);
   friend class IdSetTestPeer;
 };
 

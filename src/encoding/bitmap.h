@@ -9,9 +9,11 @@
 //
 // SelectionBitmap is different machinery with the same substrate: one bit per
 // row of a scan row group, filled by the predicate kernels
-// (src/seabed/scan_kernels.h) and consumed word-at-a-time by the aggregation
-// loop. Invariant: bits at positions >= size() are always zero (Reset masks
-// the tail word), so kernels may AND whole words — including a garbage tail —
+// (src/seabed/scan_kernels.h) and consumed word-at-a-time by aggregation:
+// popcounts for COUNT, masked sums (SumSelected) and set-bit runs (the ID
+// lists) for ungrouped ASHE sums, and set-bit iteration for grouped ones.
+// Invariant: bits at positions >= size() are always zero (Reset masks the
+// tail word), so kernels may AND whole words — including a garbage tail —
 // without ever resurrecting an out-of-range row.
 #ifndef SEABED_SRC_ENCODING_BITMAP_H_
 #define SEABED_SRC_ENCODING_BITMAP_H_
@@ -99,6 +101,39 @@ class SelectionBitmap {
         fn(w * 64 + static_cast<size_t>(std::countr_zero(word)));
         word &= word - 1;
       }
+    }
+  }
+
+  // Maximal runs of consecutive set bits (ascending): `fn(begin, end)` for
+  // each run of set bits [begin, end). A fully selected row group is one
+  // call, which is how an ASHE sum's ID list comes straight from the bitmap.
+  template <typename Fn>
+  void ForEachRun(Fn&& fn) const {
+    const size_t nw = words_.size();
+    if (nw == 0) {
+      return;
+    }
+    size_t w = 0;
+    uint64_t word = words_[0];  // set bits of word w not yet visited
+    for (;;) {
+      while (word == 0) {
+        if (++w == nw) {
+          return;
+        }
+        word = words_[w];
+      }
+      const size_t begin = w * 64 + static_cast<size_t>(std::countr_zero(word));
+      uint64_t gaps = ~word & (~uint64_t{0} << (begin % 64));  // clear bits at or after begin
+      while (gaps == 0) {
+        if (++w == nw) {
+          fn(begin, nw * 64);
+          return;
+        }
+        gaps = ~words_[w];
+      }
+      const size_t end = w * 64 + static_cast<size_t>(std::countr_zero(gaps));
+      fn(begin, end);
+      word = words_[w] & (~uint64_t{0} << (end % 64));
     }
   }
 

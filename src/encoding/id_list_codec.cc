@@ -23,7 +23,7 @@ void PutInt(Bytes& out, uint64_t v, bool vb) {
   }
 }
 
-uint64_t GetInt(const Bytes& in, size_t* cursor, bool vb) {
+uint64_t GetInt(std::span<const uint8_t> in, size_t* cursor, bool vb) {
   if (vb) {
     return GetVarint(in, cursor);
   }
@@ -73,6 +73,7 @@ Bytes IdListEncode(const IdSet& ids, const IdListOptions& options) {
   Bytes payload;
   const bool vb = options.use_vb;
   if (options.use_range) {
+    payload.reserve(16 + ids.NumRuns() * (has_counts ? 3 : 2) * (vb ? 1 : 8));
     PutInt(payload, ids.NumRuns(), vb);
     uint64_t prev = 0;  // previous run's hi + 1 when diff-coding
     for (const IdSet::Run& run : ids.runs()) {
@@ -86,7 +87,9 @@ Bytes IdListEncode(const IdSet& ids, const IdListOptions& options) {
     }
   } else {
     // Id-at-a-time encoding (multiplicity realized by repetition).
-    PutInt(payload, ids.TotalCount(), vb);
+    const uint64_t total = ids.TotalCount();
+    payload.reserve(16 + total * (vb ? 1 : 8));
+    PutInt(payload, total, vb);
     uint64_t prev = 0;
     for (const IdSet::Run& run : ids.runs()) {
       for (uint64_t id = run.lo; id <= run.hi; ++id) {
@@ -128,23 +131,22 @@ void IdListDecodeRuns(const Bytes& bytes, std::vector<IdSet::Run>& runs) {
   const auto compression =
       static_cast<IdListCompression>((header >> kCompressionShift) & 3);
 
-  const Bytes* payload = &bytes;
-  size_t cursor = 1;  // past the header
+  std::span<const uint8_t> payload = std::span<const uint8_t>(bytes).subspan(1);
   Bytes decompressed;
   if (compression != IdListCompression::kNone) {
-    decompressed = LzDecompress(Bytes(bytes.begin() + 1, bytes.end()));
-    payload = &decompressed;
-    cursor = 0;
+    decompressed = LzDecompress(payload);
+    payload = decompressed;
   }
+  size_t cursor = 0;
 
   // Counts claimed by the payload are capped by its size before anything
   // is allocated for them: an integer takes at least field_bytes.
   const size_t field_bytes = vb ? 1 : 8;
   if (use_range) {
-    const uint64_t num_runs = GetInt(*payload, &cursor, vb);
+    const uint64_t num_runs = GetInt(payload, &cursor, vb);
     const size_t run_bytes = (has_counts ? 3 : 2) * field_bytes;
-    SEABED_CHECK_MSG(num_runs <= (payload->size() - cursor) / run_bytes,
-                     "corrupt ID list: " << num_runs << " runs in " << payload->size()
+    SEABED_CHECK_MSG(num_runs <= (payload.size() - cursor) / run_bytes,
+                     "corrupt ID list: " << num_runs << " runs in " << payload.size()
                                          << " bytes");
     // Grow geometrically: an exact reserve per list would copy the whole
     // vector again for every list appended to it.
@@ -153,13 +155,13 @@ void IdListDecodeRuns(const Bytes& bytes, std::vector<IdSet::Run>& runs) {
     }
     uint64_t prev = 0;
     for (uint64_t r = 0; r < num_runs; ++r) {
-      const uint64_t lo_field = GetInt(*payload, &cursor, vb);
+      const uint64_t lo_field = GetInt(payload, &cursor, vb);
       const uint64_t lo = use_diff ? prev + lo_field : lo_field;
-      const uint64_t hi = lo + GetInt(*payload, &cursor, vb);
+      const uint64_t hi = lo + GetInt(payload, &cursor, vb);
       SEABED_CHECK_MSG(lo <= hi, "corrupt ID list run");
       uint64_t count = 1;
       if (has_counts) {
-        const uint64_t extra = GetInt(*payload, &cursor, vb);
+        const uint64_t extra = GetInt(payload, &cursor, vb);
         SEABED_CHECK_MSG(extra < uint64_t{INT64_MAX}, "corrupt ID list multiplicity");
         count = extra + 1;
       }
@@ -167,13 +169,13 @@ void IdListDecodeRuns(const Bytes& bytes, std::vector<IdSet::Run>& runs) {
       prev = hi + 1;
     }
   } else {
-    const uint64_t total = GetInt(*payload, &cursor, vb);
-    SEABED_CHECK_MSG(total <= (payload->size() - cursor) / field_bytes,
-                     "corrupt ID list: " << total << " ids in " << payload->size()
+    const uint64_t total = GetInt(payload, &cursor, vb);
+    SEABED_CHECK_MSG(total <= (payload.size() - cursor) / field_bytes,
+                     "corrupt ID list: " << total << " ids in " << payload.size()
                                          << " bytes");
     uint64_t prev = 0;
     for (uint64_t i = 0; i < total; ++i) {
-      const uint64_t field = GetInt(*payload, &cursor, vb);
+      const uint64_t field = GetInt(payload, &cursor, vb);
       const uint64_t id = use_diff ? prev + field : field;
       IdSet::Run* back = runs.empty() ? nullptr : &runs.back();
       if (back != nullptr && back->count == 1 && id == back->hi + 1) {

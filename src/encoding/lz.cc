@@ -75,7 +75,8 @@ Bytes LzCompress(const Bytes& input, LzLevel level) {
   const size_t window = level == LzLevel::kFast ? (1u << 16) : (1u << 20);
   const bool lazy = level == LzLevel::kCompact;
 
-  std::vector<uint32_t> head(kHashSize, UINT32_MAX);
+  // Every slot is UINT32_MAX between calls (see the reset below).
+  thread_local std::vector<uint32_t> head(kHashSize, UINT32_MAX);
   size_t literal_start = 0;
   size_t pos = 0;
   while (pos < input.size()) {
@@ -112,10 +113,14 @@ Bytes LzCompress(const Bytes& input, LzLevel level) {
     }
   }
   FlushLiterals(out, input, literal_start, input.size());
+  // Every slot written above is the hash of some 4-byte window of `input`.
+  for (size_t i = 0; i + 4 <= input.size(); ++i) {
+    head[Hash4(input.data() + i)] = UINT32_MAX;
+  }
   return out;
 }
 
-Bytes LzDecompress(const Bytes& input) {
+Bytes LzDecompress(std::span<const uint8_t> input) {
   size_t cursor = 0;
   const uint64_t total = GetVarint(input, &cursor);
   // Every token takes at least two input bytes (a length varint plus >= 1

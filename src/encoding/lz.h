@@ -16,6 +16,8 @@
 #ifndef SEABED_SRC_ENCODING_LZ_H_
 #define SEABED_SRC_ENCODING_LZ_H_
 
+#include <span>
+
 #include "src/common/bytes.h"
 
 namespace seabed {
@@ -25,11 +27,14 @@ enum class LzLevel {
   kCompact,
 };
 
-// Compresses `input`; output always round-trips through LzDecompress.
+// Compresses `input`; output always round-trips through LzDecompress. The
+// match table is one per thread and reused: each call clears only the slots
+// it wrote, so a 2-byte ID list does not pay for a 64Ki-slot table, and the
+// output is byte-identical to a fresh table's.
 Bytes LzCompress(const Bytes& input, LzLevel level);
 
 // Inverse of LzCompress. Aborts on corrupt input.
-Bytes LzDecompress(const Bytes& input);
+Bytes LzDecompress(std::span<const uint8_t> input);
 
 }  // namespace seabed
 

@@ -12,7 +12,7 @@ void PutVarint(Bytes& out, uint64_t value) {
   out.push_back(static_cast<uint8_t>(value));
 }
 
-uint64_t GetVarintMultiByte(const Bytes& in, size_t* cursor) {
+uint64_t GetVarintMultiByte(std::span<const uint8_t> in, size_t* cursor) {
   uint64_t value = 0;
   int shift = 0;
   for (;;) {

@@ -6,6 +6,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 
 #include "src/common/bytes.h"
 
@@ -15,12 +16,12 @@ namespace seabed {
 void PutVarint(Bytes& out, uint64_t value);
 
 // The general (multi-byte) case of GetVarint.
-uint64_t GetVarintMultiByte(const Bytes& in, size_t* cursor);
+uint64_t GetVarintMultiByte(std::span<const uint8_t> in, size_t* cursor);
 
 // Decodes a VB integer at *cursor, advancing it. Aborts on truncated input.
 // One-byte values, which most ID-list gaps, run lengths and LZ tokens are,
 // decode inline.
-inline uint64_t GetVarint(const Bytes& in, size_t* cursor) {
+inline uint64_t GetVarint(std::span<const uint8_t> in, size_t* cursor) {
   if (*cursor < in.size() && in[*cursor] < 0x80) {
     return in[(*cursor)++];
   }

@@ -70,6 +70,8 @@ class StringColumn : public Column {
   void Append(const std::string& v);
   const std::string& Get(size_t row) const { return dictionary_[codes_[row]]; }
   uint32_t GetCode(size_t row) const { return codes_[row]; }
+  // The string a code encodes (a code from this column's GetCode/Lookup).
+  const std::string& Decode(uint32_t code) const { return dictionary_[code]; }
 
   // Contiguous code span for the scan kernels: dictionary codes compare like
   // the strings they encode (the dictionary dedups), so an equality filter

@@ -259,19 +259,7 @@ ResultSet ExecutePlain(const Table& table, const Query& query, const Cluster& cl
     result_bytes += row.size() * 8;
     result.rows.push_back(std::move(row));
   }
-  // Rows sorted by group values. The serialized keys are length-prefixed
-  // (collision-proofing), which makes their byte order diverge from value
-  // order — e.g. "west" (4 bytes) would sort before "north" (5 bytes).
-  const size_t num_group_cols = query.group_by.size();
-  std::sort(result.rows.begin(), result.rows.end(),
-            [num_group_cols](const std::vector<Value>& a, const std::vector<Value>& b) {
-              for (size_t g = 0; g < num_group_cols; ++g) {
-                if (a[g] != b[g]) {
-                  return a[g] < b[g];
-                }
-              }
-              return false;
-            });
+  SortRowsByGroupValues(result.rows, query.group_by.size());
   if (stats != nullptr) {
     stats->backend = "plain";
     stats->job = job;

@@ -211,6 +211,18 @@ Query& Query::GroupBy(const std::string& column) {
   return *this;
 }
 
+void SortRowsByGroupValues(std::vector<std::vector<Value>>& rows, size_t num_group_cols) {
+  std::sort(rows.begin(), rows.end(),
+            [num_group_cols](const std::vector<Value>& a, const std::vector<Value>& b) {
+              for (size_t g = 0; g < num_group_cols; ++g) {
+                if (a[g] != b[g]) {
+                  return a[g] < b[g];
+                }
+              }
+              return false;
+            });
+}
+
 std::string ResultSet::ToString(size_t max_rows) const {
   std::ostringstream oss;
   for (size_t i = 0; i < column_names.size(); ++i) {

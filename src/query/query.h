@@ -155,11 +155,20 @@ struct Query {
 // paper reports lives in QueryStats, filled per call by every executor.
 struct ResultSet {
   std::vector<std::string> column_names;
-  std::vector<std::vector<Value>> rows;  // sorted by group key
+  // Sorted by group values (the leading group-by columns, compared in Value
+  // order, first column first) on every backend, so two backends' answers
+  // compare row for row. See SortRowsByGroupValues.
+  std::vector<std::vector<Value>> rows;
 
   // Pretty-printer for examples.
   std::string ToString(size_t max_rows = 20) const;
 };
+
+// Sorts `rows` by their first `num_group_cols` values: the ResultSet row
+// order. Serialized group keys are length-prefixed (collision-proofing) and
+// DET tokens are pseudorandom, so neither key bytes nor ciphertexts give
+// this order; every backend sorts its plaintext rows instead.
+void SortRowsByGroupValues(std::vector<std::vector<Value>>& rows, size_t num_group_cols);
 
 // Per-query metrics, populated by every execution backend (the Figure 6/7
 // latency breakdown plus the Section 6.6 decryption-cost statistics). One

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <map>
 #include <memory>
+#include <unordered_map>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
@@ -26,7 +27,7 @@ struct MergedAgg {
 };
 
 struct MergedGroup {
-  std::vector<Value> key_parts;
+  const std::vector<Value>* key_parts = nullptr;  // the first server group's
   std::vector<MergedAgg> aggs;
 };
 
@@ -80,23 +81,36 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     }
   }
 
-  // Group-key decryptors, derived once per call rather than once per group.
+  // Group-key decryptors and DET dictionaries, resolved once per call rather
+  // than once per group.
   std::vector<std::unique_ptr<DetInt>> group_det(cplan.group_outputs.size());
+  std::vector<const std::map<uint64_t, std::string>*> group_dict(cplan.group_outputs.size());
   for (size_t g = 0; g < cplan.group_outputs.size(); ++g) {
     const ClientGroupOutput& go = cplan.group_outputs[g];
     if (go.kind == ClientGroupOutput::Kind::kDetInt) {
       group_det[g] = std::make_unique<DetInt>(keys_->DeriveColumnKey(go.key_label));
+    } else if (go.kind == ClientGroupOutput::Kind::kDetString) {
+      const EncryptedDatabase& owner = go.on_right ? *right_db : *db_;
+      const auto dict_it = owner.det_dictionaries.find(go.enc_column);
+      SEABED_CHECK(dict_it != owner.det_dictionaries.end());
+      group_dict[g] = &dict_it->second;
     }
   }
 
   // 1. Decompress ID lists and deflate inflated groups (merge by base key).
-  std::map<std::string, MergedGroup> merged;
+  // Without inflation the server's groups are already unique, one per key.
+  std::vector<MergedGroup> merged;
+  merged.reserve(response.groups.size());
+  std::unordered_map<std::string, size_t> by_base_key;
   for (const ServerGroup& g : response.groups) {
-    MergedGroup& dst = merged[BaseKey(g)];
-    if (dst.aggs.empty()) {
-      dst.aggs.resize(splan.aggregates.size());
-      dst.key_parts = g.key_parts;
+    size_t slot = merged.size();
+    if (splan.inflation > 1) {
+      slot = by_base_key.try_emplace(BaseKey(g), merged.size()).first->second;
     }
+    if (slot == merged.size()) {
+      merged.push_back({&g.key_parts, std::vector<MergedAgg>(splan.aggregates.size())});
+    }
+    MergedGroup& dst = merged[slot];
     for (size_t a = 0; a < splan.aggregates.size(); ++a) {
       const ServerAggResult& src = g.aggs[a];
       MergedAgg& agg = dst.aggs[a];
@@ -137,9 +151,7 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
   // SQL semantics: a global aggregate over zero matching rows still yields
   // one (all-zero) result row.
   if (merged.empty() && cplan.group_outputs.empty()) {
-    MergedGroup zero;
-    zero.aggs.resize(splan.aggregates.size());
-    merged.emplace("", std::move(zero));
+    merged.push_back({nullptr, std::vector<MergedAgg>(splan.aggregates.size())});
   }
 
   // 2. Decrypt per group; 3. apply post-processing; 4. render group values.
@@ -151,7 +163,7 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     result.column_names.push_back(o.alias);
   }
 
-  for (auto& [key, group] : merged) {
+  for (MergedGroup& group : merged) {
     // Decrypt every ASHE aggregate once.
     std::vector<int64_t> decrypted(splan.aggregates.size(), 0);
     for (size_t a = 0; a < splan.aggregates.size(); ++a) {
@@ -191,7 +203,7 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     row.reserve(cplan.group_outputs.size() + cplan.outputs.size());
     for (size_t g = 0; g < cplan.group_outputs.size(); ++g) {
       const ClientGroupOutput& go = cplan.group_outputs[g];
-      const Value& part = group.key_parts[g];
+      const Value& part = (*group.key_parts)[g];
       switch (go.kind) {
         case ClientGroupOutput::Kind::kPlainInt:
         case ClientGroupOutput::Kind::kPlainString:
@@ -202,12 +214,9 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
               group_det[g]->Decrypt(static_cast<uint64_t>(std::get<int64_t>(part)))));
           break;
         case ClientGroupOutput::Kind::kDetString: {
-          const EncryptedDatabase& owner = go.on_right ? *right_db : *db_;
-          const auto dict_it = owner.det_dictionaries.find(go.enc_column);
-          SEABED_CHECK(dict_it != owner.det_dictionaries.end());
           const uint64_t token = static_cast<uint64_t>(std::get<int64_t>(part));
-          const auto val_it = dict_it->second.find(token);
-          SEABED_CHECK_MSG(val_it != dict_it->second.end(),
+          const auto val_it = group_dict[g]->find(token);
+          SEABED_CHECK_MSG(val_it != group_dict[g]->end(),
                            "unknown DET token in group key for " << go.enc_column);
           row.emplace_back(val_it->second);
           break;
@@ -246,6 +255,7 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     }
     result.rows.push_back(std::move(row));
   }
+  SortRowsByGroupValues(result.rows, cplan.group_outputs.size());
 
   if (stats != nullptr) {
     stats->backend = "seabed";

@@ -344,6 +344,7 @@ ResultSet PaillierBaseline::Execute(const EncryptedDatabase& db, const Translate
     }
     result.rows.push_back(std::move(row));
   }
+  SortRowsByGroupValues(result.rows, cplan.group_outputs.size());
   if (stats != nullptr) {
     stats->backend = "paillier";
     stats->job = job;

@@ -98,7 +98,34 @@ __attribute__((target("avx2"))) uint64_t Int64CmpWordAvx2(const int64_t* values,
   return invert ? ~m : m;
 }
 
+__attribute__((target("avx2"))) uint64_t SumWordAvx2(const uint64_t* cells, uint64_t word) {
+  // Lane j of block k keeps its cell iff bit 4k + j of the word is set.
+  const __m256i lane_bits = _mm256_setr_epi64x(1, 2, 4, 8);
+  __m256i acc = _mm256_setzero_si256();
+  for (int k = 0; k < 16; ++k) {
+    const __m256i bits = _mm256_and_si256(
+        _mm256_set1_epi64x(static_cast<long long>(word >> (k * 4))), lane_bits);
+    const __m256i keep = _mm256_cmpeq_epi64(bits, lane_bits);
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(cells + k * 4));
+    acc = _mm256_add_epi64(acc, _mm256_and_si256(v, keep));
+  }
+  alignas(32) uint64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
+}
+
 #elif defined(SEABED_SCAN_NEON)
+
+uint64_t SumWordNeon(const uint64_t* cells, uint64_t word) {
+  const uint64x2_t lane_bits = {1, 2};
+  uint64x2_t acc = vdupq_n_u64(0);
+  for (int k = 0; k < 32; ++k) {
+    const uint64x2_t bits = vandq_u64(vdupq_n_u64(word >> (k * 2)), lane_bits);
+    const uint64x2_t keep = vceqq_u64(bits, lane_bits);
+    acc = vaddq_u64(acc, vandq_u64(vld1q_u64(cells + k * 2), keep));
+  }
+  return vgetq_lane_u64(acc, 0) + vgetq_lane_u64(acc, 1);
+}
 
 uint64_t DetEqWordNeon(const uint64_t* tokens, uint64_t token) {
   const uint64x2_t needle = vdupq_n_u64(token);
@@ -128,6 +155,23 @@ uint64_t Int64CmpWordNeon(const int64_t* values, CmpOp op, int64_t operand) {
 }
 
 #endif
+
+// Sum of the cells under the set bits of `word` (cells spans >= the highest
+// set bit): a sparse word visits its set bits, a full one adds all 64.
+uint64_t SumWordScalar(const uint64_t* cells, uint64_t word) {
+  uint64_t sum = 0;
+  if (word == ~uint64_t{0}) {
+    for (size_t i = 0; i < 64; ++i) {
+      sum += cells[i];
+    }
+    return sum;
+  }
+  while (word != 0) {
+    sum += cells[std::countr_zero(word)];
+    word &= word - 1;
+  }
+  return sum;
+}
 
 // ---- per-row ORE order ------------------------------------------------------
 // Ore::Compare semantics: scan the 64 2-bit u-slots MSB-first (= byte 0
@@ -339,6 +383,67 @@ void FilterOreCmp(const OreCiphertext* cells, size_t n, CmpOp op, const OreCiphe
   OreCmpDrive(cells, n, op, sel,
               [&](const OreCiphertext& ct) { return OreOrderScalar(ct, operand); });
 #endif
+}
+
+uint64_t SumSelected(const uint64_t* cells, const SelectionBitmap& sel) {
+  const uint64_t* words = sel.words();
+  const size_t full = sel.size() / 64;
+  uint64_t sum = 0;
+  size_t w = 0;
+#if defined(SEABED_SCAN_X86)
+  if (HasAvx2()) {
+    for (; w < full; ++w) {
+      // Sparse words take the set-bit walk; dense ones the masked adds.
+      sum += std::popcount(words[w]) < 16 ? SumWordScalar(cells + w * 64, words[w])
+                                          : SumWordAvx2(cells + w * 64, words[w]);
+    }
+  }
+#elif defined(SEABED_SCAN_NEON)
+  for (; w < full; ++w) {
+    sum += std::popcount(words[w]) < 16 ? SumWordScalar(cells + w * 64, words[w])
+                                        : SumWordNeon(cells + w * 64, words[w]);
+  }
+#endif
+  for (; w < full; ++w) {
+    sum += SumWordScalar(cells + w * 64, words[w]);
+  }
+  if (sel.size() % 64 != 0) {
+    // The tail word's bits past size() are zero, so no cell past the span is read.
+    sum += SumWordScalar(cells + full * 64, words[full]);
+  }
+  return sum;
+}
+
+void OrdinalTable::Grow() {
+  slots_.assign(2 * slots_.size(), kAbsent);
+  for (uint32_t ord = 0; ord < size_; ++ord) {
+    size_t s = Home(key(ord));
+    while (slots_[s] != kAbsent) {
+      s = (s + 1) & (slots_.size() - 1);
+    }
+    slots_[s] = ord;
+  }
+}
+
+JoinIndex::JoinIndex(const uint64_t* tokens, std::span<const size_t> rows)
+    : buckets_(1, rows.size()), rows_(rows.size()) {
+  // Counting sort by bucket: sizes, prefix sums, then a stable scatter.
+  std::vector<uint32_t> bucket_of(rows.size());
+  offsets_.push_back(0);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    bucket_of[i] = buckets_.FindOrInsert(&tokens[rows[i]]);
+    if (bucket_of[i] + 1 == offsets_.size()) {
+      offsets_.push_back(0);  // a new bucket
+    }
+    ++offsets_[bucket_of[i] + 1];
+  }
+  for (size_t b = 1; b < offsets_.size(); ++b) {
+    offsets_[b] += offsets_[b - 1];
+  }
+  std::vector<size_t> cursor(offsets_);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    rows_[cursor[bucket_of[i]]++] = rows[i];
+  }
 }
 
 }  // namespace seabed

@@ -1,8 +1,8 @@
 #include "src/seabed/server.h"
 
 #include <algorithm>
-#include <map>
-#include <unordered_map>
+#include <iterator>
+#include <optional>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
@@ -52,40 +52,6 @@ ColRef Resolve(const Table& fact, const Table* right, const std::string& name, b
   return ref;
 }
 
-// Running aggregate state for one group within one partition.
-struct PartialAgg {
-  uint64_t value = 0;
-  IdSet ids;
-  uint64_t count = 0;
-  bool minmax_valid = false;
-  OreCiphertext minmax_ore;
-  uint64_t minmax_cipher = 0;
-  uint64_t minmax_id = 0;
-
-  // kOreMin / kOreMax: keeps the candidate when the slot is empty or the
-  // candidate orders strictly before (MIN) or after (MAX) the current winner.
-  void OfferMinMax(ServerAggregate::Kind kind, const OreCiphertext& ore, uint64_t cipher,
-                   uint64_t id) {
-    if (minmax_valid) {
-      const int order = Ore::Compare(ore, minmax_ore).order;
-      if (kind == ServerAggregate::Kind::kOreMin ? order >= 0 : order <= 0) {
-        return;
-      }
-    }
-    minmax_valid = true;
-    minmax_ore = ore;
-    minmax_cipher = cipher;
-    minmax_id = id;
-  }
-};
-
-struct PartialGroup {
-  std::vector<Value> key_parts;
-  uint64_t suffix = 0;
-  std::vector<PartialAgg> aggs;
-  std::vector<Bytes> blobs;  // one per ASHE aggregate after worker encode
-};
-
 // Rows per kernel row group: the unit the vectorized scan fills one
 // selection bitmap for. 4096 rows = 64 bitmap words; even the widest
 // per-group column slice (ORE, 16 B/row = 64 KiB) stays cache-resident.
@@ -131,13 +97,14 @@ class ScanFilter {
     });
   }
 
-  // Calls visit(row) for every row of `range` that passes, in row order.
-  // `sel` is scratch space, reused across calls.
+  // Calls visit(begin) for every kernel row group of `range` with a passing
+  // row, in row order; `sel` then holds the group's passing rows (bit i =
+  // row begin + i). `sel` is scratch space, reused across calls.
   template <typename Visit>
-  void ForEachPassing(const RowRange& range, SelectionBitmap& sel, Visit&& visit) const {
+  void ForEachSelection(const RowRange& range, SelectionBitmap& sel, Visit&& visit) const {
     for (size_t begin = range.begin; begin < range.end; begin += kKernelRowGroup) {
       if (Select(begin, std::min(kKernelRowGroup, range.end - begin), sel)) {
-        sel.ForEachSet([&](size_t bit) { visit(begin + bit); });
+        visit(begin);
       }
     }
   }
@@ -186,6 +153,213 @@ class ScanFilter {
   std::vector<Step> steps_;
 };
 
+// Running state of one aggregate within one group.
+struct AggSlot {
+  uint64_t value = 0;        // kAsheSum: group-element sum; kRowCount: rows
+  IdSet ids;                 // kAsheSum, until encoded
+  std::vector<Bytes> blobs;  // kAsheSum, worker-side compression: one per task
+  bool minmax_valid = false;  // kOreMin / kOreMax: winner + companion cell
+  OreCiphertext minmax_ore;
+  uint64_t minmax_cipher = 0;
+  uint64_t minmax_id = 0;
+
+  // Keeps the candidate when the slot is empty or the candidate orders
+  // strictly before (MIN) or after (MAX) the current winner.
+  void OfferMinMax(ServerAggregate::Kind kind, const OreCiphertext& ore, uint64_t cipher,
+                   uint64_t id) {
+    if (minmax_valid) {
+      const int order = Ore::Compare(ore, minmax_ore).order;
+      if (kind == ServerAggregate::Kind::kOreMin ? order >= 0 : order <= 0) {
+        return;
+      }
+    }
+    minmax_valid = true;
+    minmax_ore = ore;
+    minmax_cipher = cipher;
+    minmax_id = id;
+  }
+};
+
+// The groups of one task, or of the merged response: fixed-width keys mapped
+// to dense ordinals, and num_aggs slots per ordinal (slot(ord, a)).
+struct Groups {
+  // `expected`: groups to size for up front (a hint).
+  Groups(size_t width, size_t num_aggs, size_t expected = 0)
+      : table(width, expected), num_aggs(num_aggs) {
+    slots.reserve(expected * num_aggs);
+  }
+
+  size_t size() const { return table.size(); }
+  AggSlot& slot(size_t ord, size_t a) { return slots[ord * num_aggs + a]; }
+
+  // Ordinal of the key tuple `parts`, with fresh slots for a new group.
+  uint32_t Ordinal(const uint64_t* parts) {
+    const uint32_t ord = table.FindOrInsert(parts);
+    if (ord + 1 == table.size()) {
+      slots.resize(table.size() * num_aggs);
+    }
+    return ord;
+  }
+
+  OrdinalTable table;
+  size_t num_aggs;
+  std::vector<AggSlot> slots;
+};
+
+// A GROUP BY column's fixed-width key part: a DET token, a plain int64's
+// bits, or a plain string's dictionary code. Codes are only meaningful within
+// one table (shards keep their own dictionaries and the coordinator merges
+// by key bytes), so the output key renders a code back to its string.
+uint64_t KeyPart(const ColRef& ref, size_t row) {
+  if (ref.det != nullptr) {
+    return ref.det->Get(row);
+  }
+  return ref.i64 != nullptr ? static_cast<uint64_t>(ref.i64->Get(row)) : ref.str->GetCode(row);
+}
+
+struct AggCols {
+  ColRef main;
+  ColRef companion;  // ASHE value column for min/max
+};
+
+// The resolved inputs of the aggregation half, shared by every task.
+struct AggInputs {
+  const ServerPlan& plan;
+  std::vector<AggCols> aggs;
+  std::vector<ColRef> keys;  // one per GROUP BY column
+  size_t width = 0;          // key parts: keys, plus the inflation suffix
+  const JoinIndex* join = nullptr;
+  const DetColumn* join_left = nullptr;
+};
+
+// Aggregates one task's row ranges into `out`, one kernel row group at a
+// time, and returns the rows (join: row pairs) that passed. Ungrouped,
+// unjoined scans fold the selection bitmap into group 0 word by word: a
+// popcount for COUNT, a masked sum plus the bitmap's set-bit runs (the ID
+// list, offset by the column's base id) for an ASHE SUM. Otherwise the
+// passing rows (pairs) are gathered, mapped to group ordinals through the
+// task's key table, and each aggregate runs over them as one loop.
+uint64_t AggregateTask(const AggInputs& in, const ScanFilter& filter,
+                       const std::vector<RowRange>& ranges, Groups& out) {
+  const ServerPlan& plan = in.plan;
+  const size_t num_aggs = plan.aggregates.size();
+  SelectionBitmap sel;
+  std::vector<size_t> rows;    // passing fact rows, one per pair
+  std::vector<size_t> rights;  // join: the matching right row of each pair
+  std::vector<uint32_t> ords;  // group ordinal of each pair
+  std::vector<uint64_t> parts(std::max<size_t>(in.width, 1));
+  // Right-side ASHE ids of a join arrive in probe order: collected as
+  // (ordinal, id) and normalized once, at the end of the task.
+  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> right_ids(num_aggs);
+  uint64_t touched = 0;
+  // Ungrouped, unjoined: the whole selection folds into group 0.
+  auto fold = [&](size_t begin) {
+    const uint32_t ord = out.Ordinal(parts.data());
+    const uint64_t passing = sel.Count();
+    touched += passing;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const ServerAggregate& sa = plan.aggregates[a];
+      const AggCols& ac = in.aggs[a];
+      AggSlot& slot = out.slot(ord, a);
+      switch (sa.kind) {
+        case ServerAggregate::Kind::kAsheSum: {
+          slot.value += SumSelected(ac.main.ashe->cells().data() + begin, sel);
+          const uint64_t first = ac.main.ashe->IdOfRow(begin);
+          sel.ForEachRun(
+              [&](size_t lo, size_t hi) { slot.ids.AddRange(first + lo, first + hi - 1); });
+          break;
+        }
+        case ServerAggregate::Kind::kRowCount:
+          slot.value += passing;
+          break;
+        case ServerAggregate::Kind::kOreMin:
+        case ServerAggregate::Kind::kOreMax:
+          sel.ForEachSet([&](size_t bit) {
+            const size_t r = begin + bit;
+            slot.OfferMinMax(sa.kind, ac.main.ore->Get(r), ac.companion.ashe->Get(r),
+                             ac.companion.ashe->IdOfRow(r));
+          });
+          break;
+      }
+    }
+  };
+  auto gather = [&](size_t begin) {
+    rows.clear();
+    rights.clear();
+    sel.ForEachSet([&](size_t bit) {
+      const size_t row = begin + bit;
+      if (in.join == nullptr) {
+        rows.push_back(row);
+        return;
+      }
+      for (const size_t right_row : in.join->Matches(in.join_left->Get(row))) {
+        rows.push_back(row);
+        rights.push_back(right_row);
+      }
+    });
+    touched += rows.size();
+    ords.resize(rows.size());
+    for (size_t i = 0; i < rows.size(); ++i) {
+      for (size_t k = 0; k < in.keys.size(); ++k) {
+        parts[k] = KeyPart(in.keys[k], in.keys[k].on_right ? rights[i] : rows[i]);
+      }
+      if (plan.inflation > 1) {
+        // The artificial group id of Section 4.5. Hashed rather than
+        // row % inflation so it cannot correlate with data-derived groups.
+        parts[in.keys.size()] = (rows[i] * 0x9e3779b97f4a7c15ULL >> 33) % plan.inflation;
+      }
+      ords[i] = out.Ordinal(parts.data());
+    }
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const ServerAggregate& sa = plan.aggregates[a];
+      const AggCols& ac = in.aggs[a];
+      const std::vector<size_t>& src = sa.on_right ? rights : rows;
+      switch (sa.kind) {
+        case ServerAggregate::Kind::kAsheSum: {
+          const uint64_t* cells = ac.main.ashe->cells().data();
+          const uint64_t base = ac.main.ashe->base_id();
+          for (size_t i = 0; i < src.size(); ++i) {
+            AggSlot& slot = out.slot(ords[i], a);
+            slot.value += cells[src[i]];
+            if (sa.on_right) {
+              right_ids[a].emplace_back(ords[i], base + src[i]);
+            } else {
+              // Fact rows ascend: this appends, or raises the trailing run's
+              // multiplicity for a fact row joined to several right rows.
+              slot.ids.Add(base + src[i]);
+            }
+          }
+          break;
+        }
+        case ServerAggregate::Kind::kRowCount:
+          for (const uint32_t ord : ords) {
+            ++out.slot(ord, a).value;
+          }
+          break;
+        case ServerAggregate::Kind::kOreMin:
+        case ServerAggregate::Kind::kOreMax:
+          for (size_t i = 0; i < src.size(); ++i) {
+            out.slot(ords[i], a).OfferMinMax(sa.kind, ac.main.ore->Get(src[i]),
+                                             ac.companion.ashe->Get(src[i]),
+                                             ac.companion.ashe->IdOfRow(src[i]));
+          }
+          break;
+      }
+    }
+  };
+  const bool folds = in.width == 0 && in.join == nullptr;
+  for (const RowRange& range : ranges) {
+    filter.ForEachSelection(range, sel, [&](size_t begin) { folds ? fold(begin) : gather(begin); });
+  }
+  for (size_t a = 0; a < num_aggs; ++a) {
+    std::sort(right_ids[a].begin(), right_ids[a].end());
+    for (const auto& [ord, id] : right_ids[a]) {
+      out.slot(ord, a).ids.Add(id);
+    }
+  }
+  return touched;
+}
+
 }  // namespace
 
 EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster,
@@ -206,12 +380,7 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
   for (const auto& p : plan.predicates) {
     pred_cols.push_back(Resolve(fact, right, p.column, p.on_right));
   }
-  struct AggCols {
-    ColRef main;
-    ColRef companion;  // ASHE value column for min/max
-  };
-  std::vector<AggCols> agg_cols;
-  agg_cols.reserve(plan.aggregates.size());
+  AggInputs in{plan, {}, {}, 0, nullptr, nullptr};
   for (const auto& a : plan.aggregates) {
     AggCols ac;
     if (a.kind != ServerAggregate::Kind::kRowCount) {
@@ -220,31 +389,33 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
     if (a.kind == ServerAggregate::Kind::kOreMin || a.kind == ServerAggregate::Kind::kOreMax) {
       ac.companion = Resolve(fact, right, a.value_column, a.on_right);
     }
-    agg_cols.push_back(ac);
+    in.aggs.push_back(ac);
   }
-  std::vector<ColRef> group_cols;
-  group_cols.reserve(plan.group_by.size());
   for (const auto& g : plan.group_by) {
-    group_cols.push_back(Resolve(fact, right, g.column, g.on_right));
+    in.keys.push_back(Resolve(fact, right, g.column, g.on_right));
+    SEABED_CHECK_MSG(in.keys.back().det || in.keys.back().i64 || in.keys.back().str,
+                     "group-by on an unsupported encrypted column");
   }
+  in.width = in.keys.size() + (plan.inflation > 1 ? 1 : 0);
 
-  // Broadcast hash join on DET tokens (built once at the driver, like a Spark
-  // broadcast join). The build side runs the right table's predicates
-  // through the same kernels as the fact scan, so only surviving right rows
-  // enter the index. Multi-map: join keys need not be unique.
-  std::unordered_multimap<uint64_t, size_t> join_index;
-  const DetColumn* join_left = nullptr;
+  // The join's build side runs the right table's predicates through the same
+  // kernels as the fact scan, so only surviving right rows enter the index.
+  std::optional<JoinIndex> join;
   Stopwatch driver_sw;
   if (right != nullptr) {
     const ColRef right_key = Resolve(fact, right, plan.join->right_column, true);
     SEABED_CHECK_MSG(right_key.det != nullptr, "join keys must be DET encrypted");
     const ColRef left_key = Resolve(fact, right, plan.join->left_column, false);
     SEABED_CHECK_MSG(left_key.det != nullptr, "join keys must be DET encrypted");
-    join_left = left_key.det;
+    std::vector<size_t> survivors;
     SelectionBitmap sel;
     ScanFilter(plan, pred_cols, /*on_right=*/true)
-        .ForEachPassing(RowRange{0, right->NumRows()}, sel,
-                        [&](size_t row) { join_index.emplace(right_key.det->Get(row), row); });
+        .ForEachSelection(RowRange{0, right->NumRows()}, sel, [&](size_t begin) {
+          sel.ForEachSet([&](size_t bit) { survivors.push_back(begin + bit); });
+        });
+    join.emplace(right_key.det->tokens().data(), survivors);
+    in.join = &*join;
+    in.join_left = left_key.det;
   }
   double driver_seconds = driver_sw.ElapsedSeconds();
 
@@ -259,227 +430,122 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
   } else {
     tasks = PartitionRanges(*scan_ranges, cluster.num_workers());
   }
-  std::vector<std::unordered_map<std::string, PartialGroup>> partials(tasks.size());
-
-  // Probe side: the fact-side predicates fill one selection bitmap per
-  // kernel row group, and each surviving row is aggregated directly or, on a
-  // join, once per matching build-side row.
+  const size_t num_aggs = plan.aggregates.size();
+  std::vector<Groups> partials(tasks.size(), Groups(in.width, num_aggs));
+  std::vector<uint64_t> touched(tasks.size());
   const ScanFilter fact_filter(plan, pred_cols, /*on_right=*/false);
-  std::vector<uint64_t> touched(tasks.size());  // passing rows (join: pairs)
   const JobStats job = cluster.RunJob(tasks.size(), [&](size_t p) {
-    auto& local = partials[p];
-
-    // Aggregation for one surviving row (or row pair): group-key building
-    // + accumulation.
-    auto accumulate = [&](size_t row, size_t right_row) {
-      // Group key. Every part is length-prefixed (AppendGroupKeyPart): raw
-      // '\x1f'-separated concatenation let distinct keys like ("a\x1f", "b")
-      // and ("a", "\x1fb") collide and silently merge their aggregates.
-      std::string key;
-      std::vector<Value> key_parts;
-      key_parts.reserve(group_cols.size());
-      for (const ColRef& ref : group_cols) {
-        const size_t r = ref.on_right ? right_row : row;
-        if (ref.det != nullptr) {
-          const uint64_t token = ref.det->Get(r);
-          AppendGroupKeyPart(key, token);
-          key_parts.emplace_back(static_cast<int64_t>(token));
-        } else if (ref.i64 != nullptr) {
-          const int64_t v = ref.i64->Get(r);
-          AppendGroupKeyPart(key, static_cast<uint64_t>(v));
-          key_parts.emplace_back(v);
-        } else if (ref.str != nullptr) {
-          AppendGroupKeyPart(key, ref.str->Get(r));
-          key_parts.emplace_back(ref.str->Get(r));
-        } else {
-          SEABED_CHECK_MSG(false, "group-by on an unsupported encrypted column");
-        }
-      }
-      uint64_t suffix = 0;
-      if (plan.inflation > 1) {
-        // The artificial group id of Section 4.5. Hashed rather than
-        // row % inflation so it cannot correlate with data-derived groups.
-        suffix = (row * 0x9e3779b97f4a7c15ULL >> 33) % plan.inflation;
-        AppendGroupKeyPart(key, suffix);
-      }
-
-      PartialGroup& group = local[key];
-      if (group.aggs.empty()) {
-        group.aggs.resize(plan.aggregates.size());
-        group.key_parts = std::move(key_parts);
-        group.suffix = suffix;
-      }
-      for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-        const ServerAggregate& sa = plan.aggregates[a];
-        const AggCols& ac = agg_cols[a];
-        PartialAgg& pa = group.aggs[a];
-        const size_t r = sa.on_right ? right_row : row;
-        switch (sa.kind) {
-          case ServerAggregate::Kind::kAsheSum: {
-            pa.value += ac.main.ashe->Get(r);
-            pa.ids.Add(ac.main.ashe->IdOfRow(r));
-            break;
-          }
-          case ServerAggregate::Kind::kRowCount:
-            ++pa.count;
-            break;
-          case ServerAggregate::Kind::kOreMin:
-          case ServerAggregate::Kind::kOreMax:
-            pa.OfferMinMax(sa.kind, ac.main.ore->Get(r), ac.companion.ashe->Get(r),
-                           ac.companion.ashe->IdOfRow(r));
-            break;
-        }
-      }
-    };
-
-    uint64_t task_touched = 0;
-    SelectionBitmap sel;
-    for (const RowRange& range : tasks[p]) {
-      fact_filter.ForEachPassing(range, sel, [&](size_t row) {
-        if (join_left == nullptr) {
-          ++task_touched;
-          accumulate(row, 0);
-          return;
-        }
-        const auto [lo, hi] = join_index.equal_range(join_left->Get(row));
-        for (auto it = lo; it != hi; ++it) {
-          ++task_touched;
-          accumulate(row, it->second);
-        }
-      });
-    }
-    touched[p] = task_touched;
-
+    touched[p] = AggregateTask(in, fact_filter, tasks[p], partials[p]);
     // Worker-side ID-list compression (Section 4.5's winning configuration):
     // encode inside the task so the cost lands on the worker's clock.
     if (plan.worker_side_compression) {
-      for (auto& [key, group] : local) {
-        group.blobs.resize(plan.aggregates.size());
-        for (size_t a = 0; a < plan.aggregates.size(); ++a) {
+      for (size_t o = 0; o < partials[p].size(); ++o) {
+        for (size_t a = 0; a < num_aggs; ++a) {
           if (plan.aggregates[a].kind == ServerAggregate::Kind::kAsheSum) {
-            group.blobs[a] = IdListEncode(group.aggs[a].ids, plan.idlist);
-            group.aggs[a].ids = IdSet();  // shipped as a blob from here on
+            AggSlot& slot = partials[p].slot(o, a);
+            slot.blobs.push_back(IdListEncode(slot.ids, plan.idlist));
+            slot.ids = IdSet();  // shipped as a blob from here on
           }
         }
       }
     }
   });
 
-  // Shuffle accounting (group-by jobs only): every partition ships its partial
-  // groups to reduce tasks; with fewer groups than workers, few reducers
-  // drain all the data (the bottleneck group inflation removes).
-  EncryptedResponse response;
-  size_t distinct_groups = 0;
-  if (!plan.group_by.empty() || plan.inflation > 1) {
-    std::unordered_map<std::string, bool> seen;
-    size_t bytes = 0;
-    for (const auto& local : partials) {
-      for (const auto& [key, group] : local) {
-        seen.emplace(key, true);
-        bytes += key.size();
-        for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-          bytes += 8;
-          if (plan.worker_side_compression) {
-            bytes += group.blobs[a].size();
-          } else {
-            bytes += group.aggs[a].ids.NumRuns() * 10;  // raw run estimate
-          }
-        }
-      }
-    }
-    distinct_groups = seen.size();
-    response.shuffle_bytes = bytes;
-    response.shuffle_seconds = cluster.ShuffleSeconds(bytes, distinct_groups);
-  }
-
-  // Driver-side merge (and compression, when configured).
+  // Driver merge: one pass over every task's groups, by fixed-width key. It
+  // also does the shuffle accounting of group-by jobs: every task ships its
+  // partial groups to reduce tasks, and with fewer groups than workers few
+  // reducers drain all the data (the bottleneck group inflation removes).
   driver_sw.Restart();
-
-  // Collect per-partition blob lists before the merge moves groups away: when
-  // worker-compressed, every partition contributes one blob per ASHE
-  // aggregate per group.
-  std::map<std::string, std::vector<std::vector<Bytes>>> blob_lists;
-  if (plan.worker_side_compression) {
-    for (const auto& local : partials) {
-      for (const auto& [key, group] : local) {
-        auto& lists = blob_lists[key];
-        if (lists.empty()) {
-          lists.resize(plan.aggregates.size());
+  size_t partial_groups = 0;
+  for (const Groups& local : partials) {
+    partial_groups += local.size();
+  }
+  Groups merged(in.width, num_aggs, partial_groups);
+  std::vector<size_t> shipped;  // per merged group: the tasks that had it
+  size_t shuffle_bytes = 0;
+  for (Groups& local : partials) {
+    for (size_t o = 0; o < local.size(); ++o) {
+      const uint32_t g = merged.Ordinal(local.table.key(o));
+      const bool fresh = g == shipped.size();
+      if (fresh) {
+        shipped.push_back(0);
+      }
+      ++shipped[g];
+      for (size_t a = 0; a < num_aggs; ++a) {
+        AggSlot& src = local.slot(o, a);
+        AggSlot& dst = merged.slot(g, a);
+        // 8 bytes per aggregate, plus its encoded blob or, compressed at
+        // the driver, a raw estimate of its runs.
+        shuffle_bytes += 8 + src.ids.NumRuns() * 10;
+        for (const Bytes& blob : src.blobs) {
+          shuffle_bytes += blob.size();
         }
-        for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-          if (!group.blobs.empty() && !group.blobs[a].empty()) {
-            lists[a].push_back(group.blobs[a]);
-          }
+        if (fresh) {
+          dst = std::move(src);
+          continue;
+        }
+        dst.value += src.value;  // kAsheSum, kRowCount
+        dst.ids.UnionWith(src.ids);
+        std::move(src.blobs.begin(), src.blobs.end(), std::back_inserter(dst.blobs));
+        if (src.minmax_valid) {
+          dst.OfferMinMax(plan.aggregates[a].kind, src.minmax_ore, src.minmax_cipher,
+                          src.minmax_id);
         }
       }
     }
   }
 
-  std::map<std::string, PartialGroup> merged;
-  for (auto& local : partials) {
-    for (auto& [key, group] : local) {
-      auto [it, inserted] = merged.try_emplace(key, std::move(group));
-      if (inserted) {
-        continue;
-      }
-      PartialGroup& dst = it->second;
-      for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-        PartialAgg& pa = dst.aggs[a];
-        PartialAgg& src = group.aggs[a];
-        const ServerAggregate& sa = plan.aggregates[a];
-        switch (sa.kind) {
-          case ServerAggregate::Kind::kAsheSum:
-            pa.value += src.value;
-            if (!plan.worker_side_compression) {
-              pa.ids.UnionWith(src.ids);
-            }
-            break;
-          case ServerAggregate::Kind::kRowCount:
-            pa.count += src.count;
-            break;
-          case ServerAggregate::Kind::kOreMin:
-          case ServerAggregate::Kind::kOreMax:
-            if (src.minmax_valid) {
-              pa.OfferMinMax(sa.kind, src.minmax_ore, src.minmax_cipher, src.minmax_id);
-            }
-            break;
-        }
-      }
-    }
-  }
-
-  for (auto& [key, group] : merged) {
+  // Groups leave in ordinal order, each key serialized once, here; the
+  // client orders its rows by plaintext group value.
+  EncryptedResponse response;
+  response.groups.reserve(merged.size());
+  for (size_t g = 0; g < merged.size(); ++g) {
     ServerGroup out;
-    out.key = key;
-    out.key_parts = group.key_parts;
-    out.inflation_suffix = group.suffix;
-    out.aggs.resize(plan.aggregates.size());
-    for (size_t a = 0; a < plan.aggregates.size(); ++a) {
+    const uint64_t* parts = merged.table.key(g);
+    for (size_t k = 0; k < in.keys.size(); ++k) {
+      if (in.keys[k].str != nullptr) {
+        const std::string& value = in.keys[k].str->Decode(static_cast<uint32_t>(parts[k]));
+        AppendGroupKeyPart(out.key, value);
+        out.key_parts.emplace_back(value);
+      } else {
+        AppendGroupKeyPart(out.key, parts[k]);
+        out.key_parts.emplace_back(static_cast<int64_t>(parts[k]));
+      }
+    }
+    if (plan.inflation > 1) {
+      out.inflation_suffix = parts[in.keys.size()];
+      AppendGroupKeyPart(out.key, out.inflation_suffix);
+    }
+    shuffle_bytes += shipped[g] * out.key.size();
+    out.aggs.resize(num_aggs);
+    for (size_t a = 0; a < num_aggs; ++a) {
       ServerAggResult& res = out.aggs[a];
-      const PartialAgg& pa = group.aggs[a];
-      const ServerAggregate& sa = plan.aggregates[a];
-      switch (sa.kind) {
+      AggSlot& slot = merged.slot(g, a);
+      switch (plan.aggregates[a].kind) {
         case ServerAggregate::Kind::kAsheSum:
-          res.ashe_value = pa.value;
-          if (plan.worker_side_compression) {
-            res.id_blobs = std::move(blob_lists[key][a]);
-          } else {
-            res.id_blobs.push_back(IdListEncode(pa.ids, plan.idlist));
+          res.ashe_value = slot.value;
+          res.id_blobs = std::move(slot.blobs);
+          if (!plan.worker_side_compression) {
+            res.id_blobs.push_back(IdListEncode(slot.ids, plan.idlist));
           }
           break;
         case ServerAggregate::Kind::kRowCount:
-          res.row_count = pa.count;
+          res.row_count = slot.value;
           break;
         case ServerAggregate::Kind::kOreMin:
         case ServerAggregate::Kind::kOreMax:
-          res.minmax_valid = pa.minmax_valid;
-          res.minmax_ore = pa.minmax_ore;
-          res.minmax_cipher = pa.minmax_cipher;
-          res.minmax_id = pa.minmax_id;
+          res.minmax_valid = slot.minmax_valid;
+          res.minmax_ore = slot.minmax_ore;
+          res.minmax_cipher = slot.minmax_cipher;
+          res.minmax_id = slot.minmax_id;
           break;
       }
     }
     response.groups.push_back(std::move(out));
+  }
+  if (in.width > 0) {
+    response.shuffle_bytes = shuffle_bytes;
+    response.shuffle_seconds = cluster.ShuffleSeconds(shuffle_bytes, merged.size());
   }
   driver_seconds += driver_sw.ElapsedSeconds();
 

@@ -11,6 +11,12 @@
 // surviving rows, then the fact scan probes that index with each row that
 // passes the fact-side predicates.
 //
+// Aggregation is columnar: an ungrouped, unjoined scan folds each selection
+// bitmap into one group (popcount, masked sum, set-bit runs); otherwise each
+// task maps its passing rows (or row pairs) to dense group ordinals through
+// a flat table of fixed-width keys, and the driver merges the tasks' groups
+// in one pass by that key. Nothing allocates per row.
+//
 // The server never sees a key: everything here operates on ciphertexts,
 // tokens and public row identifiers.
 #ifndef SEABED_SRC_SEABED_SERVER_H_
@@ -55,6 +61,9 @@ struct ServerGroup {
 };
 
 struct EncryptedResponse {
+  // One entry per distinct key, in no particular order (a single server
+  // emits first-seen order; the coordinator merges shards by key). Clients
+  // sort their decrypted rows by plaintext group value (ResultSet::rows).
   std::vector<ServerGroup> groups;
 
   JobStats job;                 // scan + worker-side encode

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "src/common/rng.h"
+
 namespace seabed {
 namespace {
 
@@ -172,6 +176,49 @@ TEST(IdSetTest, FromRunsEqualsRepeatedUnion) {
     expected.UnionWith(p);
   }
   EXPECT_EQ(IdSet::FromRuns(runs), expected);
+}
+
+TEST(IdSetTest, OutOfOrderRepeatedAddsEqualFromRuns) {
+  // Ids in random order, many repeated (a right-side join aggregate, or a
+  // fact row joined to several right rows): the splicing Add must build the
+  // same canonical set as FromRuns over the same ids, without ever
+  // re-sorting the run vector.
+  for (uint64_t seed = 1; seed <= 50; ++seed) {
+    Rng rng(seed);
+    IdSet added;
+    std::vector<IdSet::Run> singletons;
+    const size_t n = 1 + rng.Below(300);
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t id = 1 + rng.Below(64);
+      added.Add(id);
+      singletons.push_back({id, id, 1});
+    }
+    const IdSet expected = IdSet::FromRuns(singletons);
+    EXPECT_EQ(added, expected) << seed;
+    // Canonical: sorted, disjoint, touching runs differ in count.
+    for (size_t r = 1; r < added.NumRuns(); ++r) {
+      const IdSet::Run& prev = added.runs()[r - 1];
+      const IdSet::Run& cur = added.runs()[r];
+      EXPECT_LT(prev.hi, cur.lo) << seed;
+      EXPECT_FALSE(prev.hi + 1 == cur.lo && prev.count == cur.count) << seed;
+    }
+  }
+}
+
+TEST(IdSetTest, RepeatedTrailingIdRaisesMultiplicity) {
+  // A fact row joined to k right rows adds its id k times in a row.
+  IdSet s;
+  s.AddRange(1, 4);
+  s.Add(4);
+  s.Add(4);
+  for (int k = 0; k < 3; ++k) {
+    s.Add(5);
+  }
+  s.Add(6);
+  ASSERT_EQ(s.NumRuns(), 3u);
+  EXPECT_EQ(s.runs()[0], (IdSet::Run{1, 3, 1}));
+  EXPECT_EQ(s.runs()[1], (IdSet::Run{4, 5, 3}));
+  EXPECT_EQ(s.runs()[2], (IdSet::Run{6, 6, 1}));
 }
 
 TEST(IdSetTest, LargeAlternatingPattern) {

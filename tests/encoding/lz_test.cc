@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <thread>
+#include <vector>
+
 #include "src/common/rng.h"
 #include "src/encoding/varint.h"
 
@@ -56,6 +59,69 @@ TEST_P(LzLevelTest, OverlappingMatchSelfReference) {
     input.push_back(static_cast<uint8_t>('a' + i % 3));
   }
   EXPECT_EQ(LzDecompress(LzCompress(input, GetParam())), input);
+}
+
+// Payloads shaped like ID lists (small varint deltas): many repeated
+// 4-byte windows, so a match table left dirty by an earlier call would
+// offer stale candidates that line up with real bytes.
+Bytes IdListShapedInput(uint64_t seed, size_t len) {
+  Rng rng(seed);
+  Bytes input(len);
+  for (auto& b : input) {
+    b = static_cast<uint8_t>(1 + rng.Below(3));
+  }
+  return input;
+}
+
+Bytes CompressOnFreshThread(const Bytes& input, LzLevel level) {
+  Bytes out;
+  std::thread([&] { out = LzCompress(input, level); }).join();
+  return out;
+}
+
+TEST_P(LzLevelTest, ReusedTableGivesFreshTableBytes) {
+  // The match table is per thread and reused: a call after a large input
+  // must produce exactly the bytes a never-used table (a fresh thread's)
+  // produces, for large and small inputs alike.
+  for (uint64_t seed = 0; seed < 20; ++seed) {
+    const Bytes large = IdListShapedInput(100 + seed, 200000);
+    const Bytes small = IdListShapedInput(200 + seed, 8 + seed * 13);
+    const Bytes large_out = LzCompress(large, GetParam());
+    const Bytes small_out = LzCompress(small, GetParam());
+    EXPECT_EQ(large_out, CompressOnFreshThread(large, GetParam())) << seed;
+    EXPECT_EQ(small_out, CompressOnFreshThread(small, GetParam())) << seed;
+    EXPECT_EQ(LzDecompress(small_out), small);
+  }
+}
+
+TEST_P(LzLevelTest, ConcurrentCallsMatchSequentialBytes) {
+  // Two threads compress interleaved large and small inputs at once; each
+  // output must equal the sequential one (and TSan sees no shared table).
+  std::vector<Bytes> inputs;
+  for (uint64_t seed = 0; seed < 8; ++seed) {
+    inputs.push_back(IdListShapedInput(300 + seed, seed % 2 == 0 ? 50000 : 40 + seed));
+  }
+  std::vector<Bytes> expected;
+  for (const Bytes& input : inputs) {
+    expected.push_back(LzCompress(input, GetParam()));
+  }
+  auto worker = [&](size_t offset, std::vector<Bytes>* outs) {
+    for (size_t round = 0; round < 4; ++round) {
+      for (size_t i = 0; i < inputs.size(); ++i) {
+        outs->push_back(LzCompress(inputs[(i + offset) % inputs.size()], GetParam()));
+      }
+    }
+  };
+  std::vector<Bytes> a;
+  std::vector<Bytes> b;
+  std::thread ta(worker, 0, &a);
+  std::thread tb(worker, 3, &b);
+  ta.join();
+  tb.join();
+  for (size_t k = 0; k < a.size(); ++k) {
+    EXPECT_EQ(a[k], expected[k % inputs.size()]) << k;
+    EXPECT_EQ(b[k], expected[(k + 3) % inputs.size()]) << k;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Levels, LzLevelTest,

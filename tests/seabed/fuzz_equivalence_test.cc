@@ -80,7 +80,6 @@ std::vector<std::string> RowsAsStrings(const ResultSet& r) {
     }
     rows.push_back(std::move(s));
   }
-  std::sort(rows.begin(), rows.end());
   return rows;
 }
 

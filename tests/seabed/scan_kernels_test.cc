@@ -1,6 +1,8 @@
 // Scan-kernel correctness: every vectorized kernel must agree bit-for-bit
 // with the scalar predicate it replaces, across all CmpOps, negation, word
-// tails (n not a multiple of 64) and pre-thinned bitmaps. On a SIMD build
+// tails (n not a multiple of 64) and pre-thinned bitmaps; the aggregation
+// kernels (masked sums, set-bit runs, ordinal table, join index) must agree
+// with their one-row-at-a-time definitions. On a SIMD build
 // this exercises the dispatched ISA paths; under SEABED_NO_SIMD the same
 // assertions pin the portable fallback.
 #include "src/seabed/scan_kernels.h"
@@ -8,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <map>
 #include <vector>
 
 #include "src/common/rng.h"
@@ -120,6 +123,105 @@ TEST(ScanKernelsTest, KernelsAndIntoPrethinnedBitmap) {
   for (size_t i = 0; i < n; ++i) {
     EXPECT_EQ(sel.Test(i), i % 2 == 1) << i;
   }
+}
+
+// Selections of every density: empty, sparse, half, dense, full.
+SelectionBitmap RandomSelection(size_t n, uint64_t keep_in_8, Rng& rng) {
+  SelectionBitmap sel(n);
+  for (size_t i = 0; i < n; ++i) {
+    if (rng.Below(8) < keep_in_8) {
+      sel.Set(i);
+    }
+  }
+  return sel;
+}
+
+TEST(ScanKernelsTest, SumSelectedMatchesRowAtATimeSum) {
+  Rng rng(14);
+  for (const size_t n : kSizes) {
+    std::vector<uint64_t> cells(n);
+    for (auto& c : cells) {
+      c = rng.Next();  // full 64-bit values: the sum must wrap like ASHE's group
+    }
+    for (const uint64_t keep : {0, 1, 4, 7, 8}) {
+      const SelectionBitmap sel = RandomSelection(n, keep, rng);
+      uint64_t want = 0;
+      sel.ForEachSet([&](size_t i) { want += cells[i]; });
+      EXPECT_EQ(SumSelected(cells.data(), sel), want) << n << " keep " << keep;
+    }
+  }
+}
+
+TEST(ScanKernelsTest, ForEachRunVisitsMaximalRunsOfSetBits) {
+  Rng rng(15);
+  for (const size_t n : kSizes) {
+    for (const uint64_t keep : {0, 1, 4, 7, 8}) {
+      const SelectionBitmap sel = RandomSelection(n, keep, rng);
+      std::vector<std::pair<size_t, size_t>> want;
+      for (size_t i = 0; i < n; ++i) {
+        if (!sel.Test(i)) {
+          continue;
+        }
+        if (!want.empty() && want.back().second == i) {
+          ++want.back().second;
+        } else {
+          want.emplace_back(i, i + 1);
+        }
+      }
+      std::vector<std::pair<size_t, size_t>> got;
+      sel.ForEachRun([&](size_t begin, size_t end) { got.emplace_back(begin, end); });
+      EXPECT_EQ(got, want) << n << " keep " << keep;
+    }
+  }
+}
+
+TEST(ScanKernelsTest, OrdinalTableNumbersTuplesInFirstSeenOrder) {
+  // Two-part tuples with colliding halves, enough to grow the table
+  // several times; a std::map is the reference numbering.
+  Rng rng(16);
+  OrdinalTable table(2);
+  std::map<std::pair<uint64_t, uint64_t>, uint32_t> want;
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t parts[2] = {rng.Below(300), rng.Below(40) << 40};
+    const auto [it, fresh] = want.emplace(std::make_pair(parts[0], parts[1]),
+                                          static_cast<uint32_t>(want.size()));
+    ASSERT_EQ(table.FindOrInsert(parts), it->second);
+    ASSERT_EQ(table.size(), want.size());
+    if (fresh) {
+      EXPECT_EQ(table.key(it->second)[0], parts[0]);
+      EXPECT_EQ(table.key(it->second)[1], parts[1]);
+    }
+  }
+  for (const auto& [key, ord] : want) {
+    const uint64_t parts[2] = {key.first, key.second};
+    EXPECT_EQ(table.Find(parts), ord);
+  }
+  const uint64_t absent[2] = {1000, 0};
+  EXPECT_EQ(table.Find(absent), OrdinalTable::kAbsent);
+}
+
+TEST(ScanKernelsTest, JoinIndexReturnsEveryIndexedRowOfAToken) {
+  Rng rng(17);
+  std::vector<uint64_t> tokens(5000);
+  for (auto& t : tokens) {
+    t = 0x9e3779b97f4a7c15ULL * (1 + rng.Below(700));  // repeated keys
+  }
+  std::vector<size_t> indexed;  // a filtered subset, ascending
+  for (size_t r = 0; r < tokens.size(); ++r) {
+    if (rng.Below(3) != 0) {
+      indexed.push_back(r);
+    }
+  }
+  const JoinIndex index(tokens.data(), indexed);
+  std::map<uint64_t, std::vector<size_t>> want;
+  for (const size_t r : indexed) {
+    want[tokens[r]].push_back(r);
+  }
+  for (const auto& [token, rows] : want) {
+    const std::span<const size_t> got = index.Matches(token);
+    EXPECT_EQ(std::vector<size_t>(got.begin(), got.end()), rows);
+  }
+  EXPECT_TRUE(index.Matches(12345).empty());
 }
 
 }  // namespace

@@ -1,12 +1,16 @@
 // Direct tests on the Server: response shapes, inflation on the wire,
-// worker/driver compression, shuffle accounting, joins.
+// worker/driver compression, shuffle accounting, and the aggregation edge
+// cases (multi-part keys, inflation, row-group boundaries, joins with
+// repeated matches) checked row for row against kPlain.
 #include "src/seabed/server.h"
 
 #include <gtest/gtest.h>
 
 #include "src/common/rng.h"
+#include "src/query/plain_executor.h"
 #include "src/seabed/client.h"
 #include "src/seabed/planner.h"
+#include "tests/seabed/test_util.h"
 
 namespace seabed {
 namespace {
@@ -198,6 +202,219 @@ TEST(ServerGroupKeyTest, AdjacentStringPartsNeverAlias) {
   ASSERT_EQ(r.groups.size(), 2u);
   EXPECT_EQ(r.groups[0].aggs[0].row_count, 1u);
   EXPECT_EQ(r.groups[1].aggs[0].row_count, 1u);
+}
+
+// Aggregation edge cases against kPlain. The fact table has a DET-encrypted
+// string `d`, a plain int `pi`, a plain string `ps`, an ORE `ts` equal to the
+// row index (so a range predicate selects an exact row span), an ASHE `m`
+// and a DET join key `fk`. Every key of the right table occurs 3 or 4
+// times, so each matching fact row joins k >= 3 right rows.
+constexpr size_t kAggRows = 9000;
+constexpr int64_t kRightKeys = 200;
+
+std::shared_ptr<Table> AggFactTable() {
+  auto table = std::make_shared<Table>("f");
+  auto d = std::make_shared<StringColumn>();
+  auto pi = std::make_shared<Int64Column>();
+  auto ps = std::make_shared<StringColumn>();
+  auto ts = std::make_shared<Int64Column>();
+  auto m = std::make_shared<Int64Column>();
+  auto fk = std::make_shared<Int64Column>();
+  Rng rng(91);
+  const char* const plain_strings[] = {"x", "yy", "z"};
+  for (size_t i = 0; i < kAggRows; ++i) {
+    d->Append("d" + std::to_string(rng.Below(5)));
+    pi->Append(static_cast<int64_t>(rng.Below(3)) - 1);
+    ps->Append(plain_strings[rng.Below(3)]);
+    ts->Append(static_cast<int64_t>(i));
+    m->Append(rng.Range(-100, 1000));
+    fk->Append(static_cast<int64_t>(rng.Below(kRightKeys + 20)));  // some dangle
+  }
+  table->AddColumn("d", d);
+  table->AddColumn("pi", pi);
+  table->AddColumn("ps", ps);
+  table->AddColumn("ts", ts);
+  table->AddColumn("m", m);
+  table->AddColumn("fk", fk);
+  return table;
+}
+
+PlainSchema AggFactSchema() {
+  PlainSchema schema;
+  schema.table_name = "f";
+  schema.columns.push_back({"d", ColumnType::kString, true, std::nullopt});
+  schema.columns.push_back({"pi", ColumnType::kInt64, false, std::nullopt});
+  schema.columns.push_back({"ps", ColumnType::kString, false, std::nullopt});
+  schema.columns.push_back({"ts", ColumnType::kInt64, true, std::nullopt});
+  schema.columns.push_back({"m", ColumnType::kInt64, true, std::nullopt});
+  schema.columns.push_back({"fk", ColumnType::kInt64, true, std::nullopt});
+  return schema;
+}
+
+std::shared_ptr<Table> AggRightTable() {
+  auto table = std::make_shared<Table>("r");
+  auto key = std::make_shared<Int64Column>();
+  auto w = std::make_shared<Int64Column>();
+  Rng rng(92);
+  for (int64_t k = 0; k < kRightKeys; ++k) {
+    const int copies = 3 + static_cast<int>(k % 2);
+    for (int c = 0; c < copies; ++c) {
+      key->Append(k);
+      w->Append(rng.Range(0, 500));
+    }
+  }
+  table->AddColumn("key", key);
+  table->AddColumn("w", w);
+  return table;
+}
+
+PlainSchema AggRightSchema() {
+  PlainSchema schema;
+  schema.table_name = "r";
+  schema.columns.push_back({"key", ColumnType::kInt64, true, std::nullopt});
+  schema.columns.push_back({"w", ColumnType::kInt64, true, std::nullopt});
+  return schema;
+}
+
+Query JoinedQuery() {
+  Query q;
+  q.table = "f";
+  q.join = Join{"r", "fk", "right:key"};
+  q.Sum("m", "fact_sum").Sum("right:w", "right_sum").Count("n");
+  q.Where("ts", CmpOp::kLt, int64_t{7000});
+  return q;
+}
+
+std::vector<Query> AggFactSamples() {
+  Query grouped;
+  grouped.table = "f";
+  grouped.Sum("m").Count().GroupBy("d").GroupBy("pi").GroupBy("ps");
+  grouped.Where("ts", CmpOp::kLt, int64_t{100});
+  Query joined = JoinedQuery();
+  joined.GroupBy("d");
+  return {grouped, joined};
+}
+
+std::vector<Query> AggRightSamples() {
+  Query q;
+  q.table = "r";
+  q.join = Join{"f", "key", "right:fk"};
+  q.Sum("w");
+  return {q};
+}
+
+// Runs `q` on a kSeabed and a kPlain session over the same tables and
+// expects the same rows in the same order, and the same rows touched.
+void ExpectSeabedMatchesPlain(const Query& q, size_t workers) {
+  std::vector<std::string> answers[2];
+  uint64_t touched[2] = {0, 0};
+  const BackendKind backends[2] = {BackendKind::kSeabed, BackendKind::kPlain};
+  for (int b = 0; b < 2; ++b) {
+    SessionOptions options;
+    options.backend = backends[b];
+    options.cluster.num_workers = workers;
+    options.planner.expected_rows = kAggRows;
+    options.probe.mode = ProbeMode::kOff;
+    Session session(options);
+    session.Attach(AggFactTable(), AggFactSchema(), AggFactSamples());
+    session.Attach(AggRightTable(), AggRightSchema(), AggRightSamples());
+    QueryStats stats;
+    answers[b] = RowsAsStrings(session.Execute(q, &stats));
+    touched[b] = stats.rows_touched;
+  }
+  EXPECT_FALSE(answers[1].empty());
+  EXPECT_EQ(answers[0], answers[1]);
+  EXPECT_EQ(touched[0], touched[1]);
+}
+
+TEST(ServerAggregationTest, JoinWithRepeatedMatchesMatchesPlain) {
+  // A fact row joined to k >= 3 right rows repeats its id in the fact-side
+  // sum's ID list (multiplicity k); the right-side sum collects right ids in
+  // probe order. Both must decrypt exactly, grouped and ungrouped.
+  Query grouped = JoinedQuery();
+  grouped.GroupBy("d");
+  for (const size_t workers : {1, 4}) {
+    ExpectSeabedMatchesPlain(JoinedQuery(), workers);
+    ExpectSeabedMatchesPlain(grouped, workers);
+  }
+}
+
+class ServerAggregationDirectTest : public ::testing::Test {
+ protected:
+  ServerAggregationDirectTest()
+      : table_(AggFactTable()), keys_(ClientKeys::FromSeed(93)) {
+    PlannerOptions popts;
+    popts.expected_rows = kAggRows;
+    const EncryptionPlan plan = PlanEncryption(AggFactSchema(), AggFactSamples(), popts);
+    db_ = Encryptor(keys_).Encrypt(*table_, AggFactSchema(), plan);
+  }
+
+  // Runs `q` through Translate -> Server::Execute -> Client::Decrypt on
+  // `workers` workers, expects kPlain's rows in kPlain's order, and returns
+  // the translated plan.
+  TranslatedQuery ExpectMatchesPlain(const Query& q, size_t workers) {
+    ClusterConfig cfg;
+    cfg.num_workers = workers;
+    const Cluster cluster(cfg);
+    TranslatorOptions topts;
+    topts.cluster_workers = workers;
+    const TranslatedQuery tq = Translator(db_, keys_).Translate(q, topts);
+    const EncryptedResponse response =
+        Server().Execute(tq.server, cluster, db_.table.get(), nullptr);
+    const ResultSet got = Client(db_, keys_).Decrypt(response, tq, cluster, nullptr, nullptr);
+    QueryStats plain_stats;
+    const ResultSet want = ExecutePlain(*table_, q, cluster, nullptr, &plain_stats);
+    EXPECT_FALSE(want.rows.empty());
+    EXPECT_EQ(RowsAsStrings(got), RowsAsStrings(want));
+    EXPECT_EQ(response.rows_touched, plain_stats.rows_touched);
+    return tq;
+  }
+
+  std::shared_ptr<Table> table_;
+  ClientKeys keys_;
+  EncryptedDatabase db_;
+};
+
+TEST_F(ServerAggregationDirectTest, MultiPartGroupByMatchesPlain) {
+  // A DET column, a plain int (negative values included) and a plain string
+  // (dictionary codes on the server, rendered back to strings in the key).
+  Query q;
+  q.table = "f";
+  q.Sum("m").Count().GroupBy("d").GroupBy("pi").GroupBy("ps");
+  q.Where("ts", CmpOp::kLt, int64_t{7500});
+  for (const size_t workers : {1, 4}) {
+    const TranslatedQuery tq = ExpectMatchesPlain(q, workers);
+    EXPECT_EQ(tq.server.inflation, 1u);
+  }
+}
+
+TEST_F(ServerAggregationDirectTest, MultiPartGroupByWithInflationMatchesPlain) {
+  Query q;
+  q.table = "f";
+  q.Sum("m").Count().GroupBy("d").GroupBy("pi").GroupBy("ps");
+  q.Where("ts", CmpOp::kLt, int64_t{7500});
+  q.expected_groups = 1;  // fewer than the 4 workers: inflate to 4
+  const TranslatedQuery tq = ExpectMatchesPlain(q, 4);
+  EXPECT_EQ(tq.server.inflation, 4u);
+}
+
+TEST_F(ServerAggregationDirectTest, UngroupedSelectionAcrossRowGroupBoundary) {
+  // Rows [4013, 4237): starts and ends mid-word and crosses the 4096-row
+  // kernel row group of a single-worker scan, so the masked sum, the popcount
+  // and the set-bit runs of the ID list each span two bitmaps.
+  Query q;
+  q.table = "f";
+  q.Sum("m").Count();
+  q.Where("ts", CmpOp::kGe, int64_t{4013});
+  q.Where("ts", CmpOp::kLt, int64_t{4237});
+  for (const size_t workers : {1, 4}) {
+    ExpectMatchesPlain(q, workers);
+  }
+  Query all;  // every row: one run per task, full words throughout
+  all.table = "f";
+  all.Sum("m").Count();
+  all.Where("ts", CmpOp::kGe, int64_t{0});
+  ExpectMatchesPlain(all, 1);
 }
 
 }  // namespace

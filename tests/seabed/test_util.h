@@ -1,13 +1,13 @@
 // Shared helpers for the seabed test suites: canonical row stringification
-// (order-insensitive, doubles rounded to 4 places so encrypted pipelines
-// byte-match the plaintext reference) and the two-round probe stats
+// (in ResultSet row order, which every backend sorts by group value; doubles
+// rounded to 4 places so encrypted pipelines byte-match the plaintext
+// reference) and the two-round probe stats
 // invariants applied across backends.
 #ifndef SEABED_TESTS_SEABED_TEST_UTIL_H_
 #define SEABED_TESTS_SEABED_TEST_UTIL_H_
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,7 +32,6 @@ inline std::vector<std::string> RowsAsStrings(const ResultSet& r) {
     }
     rows.push_back(std::move(s));
   }
-  std::sort(rows.begin(), rows.end());
   return rows;
 }
 
