@@ -65,9 +65,10 @@ class SyntheticHarness {
   // real fan-out/merge path instead of the analytical cluster model.
   std::unique_ptr<Session> MakeShardedSession(size_t shards);
 
-  // Builds a kCachingSeabed session (result + translated-plan cache over
-  // `inner`; `shards` applies when the inner backend is sharded) over the
-  // same synthetic table, reusing the seabed session's encryption plan.
+  // Builds a kCachingSeabed session (result cache over `inner`, whose
+  // engine memoizes plans; `shards` applies when the inner backend is
+  // sharded) over the same synthetic table, reusing the seabed session's
+  // encryption plan.
   std::unique_ptr<Session> MakeCachingSession(BackendKind inner, size_t shards = 1);
 
   // Session options for `backend` matching this harness's planner/key setup

@@ -9,17 +9,12 @@ namespace seabed {
 
 CachingSeabedBackend::CachingSeabedBackend(const CacheOptions& options,
                                            std::unique_ptr<Executor> inner)
-    : options_(options),
-      inner_(std::move(inner)),
+    : inner_(std::move(inner)),
       results_(options.shared != nullptr
                    ? options.shared
                    : std::make_shared<SharedResultCache>(
-                         SharedResultCache::Limits{options.max_entries, options.max_bytes})),
-      plan_cache_(std::make_shared<TranslatedPlanCache>(options.plan_cache_entries)) {
+                         SharedResultCache::Limits{options.max_entries, options.max_bytes})) {
   SEABED_CHECK_MSG(inner_ != nullptr, "caching backend needs an inner executor");
-  if (options_.cache_plans) {
-    inner_->SetPlanCache(plan_cache_);
-  }
 }
 
 void CachingSeabedBackend::Prepare(AttachedTable& table) {

@@ -14,11 +14,11 @@
 //     many sessions (or a Service fleet) to one cross-session cache — warm
 //     hits travel between sessions, and any session's Append invalidates
 //     the table for all of them;
-//   * a TRANSLATED-PLAN CACHE (TranslatedPlanCache, shared with the inner
-//     backend via Executor::SetPlanCache) memoizes the translator's output
-//     per plan key, so even a cache MISS skips rebuilding Translator state
-//     for a shape the dashboard has issued before. Plans survive appends —
-//     translation reads only the encryption plan and keys, never rows.
+//   * the inner Seabed engine's own TRANSLATED-PLAN CACHE (forwarded by
+//     plan_cache()) memoizes the translator's output per plan key, so even
+//     a result-cache MISS skips rebuilding Translator state for a shape the
+//     dashboard has issued before. Plans survive appends — translation reads
+//     only the encryption plan and keys, never rows.
 //
 // The cache lives on the CLIENT side of the trust boundary: it stores final
 // decrypted rows (the client is trusted; ciphertext re-decryption would only
@@ -56,8 +56,7 @@ namespace seabed {
 
 class CachingSeabedBackend : public Executor {
  public:
-  // Wraps `inner` (built by MakeExecutor from `options.inner`); installs the
-  // plan cache into it unless `options.cache_plans` is off. Uses
+  // Wraps `inner` (built by MakeExecutor from `options.inner`). Uses
   // `options.shared` as the result cache when set, else builds a private one
   // from the options' limits.
   CachingSeabedBackend(const CacheOptions& options, std::unique_ptr<Executor> inner);
@@ -69,6 +68,7 @@ class CachingSeabedBackend : public Executor {
   ResultSet Execute(const Query& query, QueryStats* stats) override;
   ResultSet ExecutePrepared(const PreparedQuery& prepared, std::span<const Value> params,
                             QueryStats* stats) override;
+  const TranslatedPlanCache* plan_cache() const override { return inner_->plan_cache(); }
   std::optional<RebalanceStats> rebalance_stats() const override {
     return inner_->rebalance_stats();
   }
@@ -86,7 +86,6 @@ class CachingSeabedBackend : public Executor {
   size_t entries() const { return results_->entries(); }
   size_t cached_bytes() const { return results_->bytes(); }
   const SharedResultCache& result_cache() const { return *results_; }
-  const TranslatedPlanCache& plan_cache() const { return *plan_cache_; }
   Executor& inner() { return *inner_; }
 
  private:
@@ -96,10 +95,8 @@ class CachingSeabedBackend : public Executor {
   ResultSet ExecuteVia(const Query& bound, QueryStats* stats,
                        const std::function<ResultSet(QueryStats*)>& run_inner);
 
-  CacheOptions options_;
   std::unique_ptr<Executor> inner_;
   std::shared_ptr<SharedResultCache> results_;
-  std::shared_ptr<TranslatedPlanCache> plan_cache_;
 };
 
 }  // namespace seabed

@@ -37,12 +37,14 @@ enum class BackendKind {
   kSeabed,         // ASHE/SPLASHE/DET/ORE encrypted pipeline on one server
   kPaillier,       // CryptDB/Monomi-style Paillier baseline
   kShardedSeabed,  // scale-out Seabed: N partitioned servers + merge layer
-  kCachingSeabed,  // result + translated-plan cache over an inner backend
+  kCachingSeabed,  // client-side result cache over an inner backend
 };
 
 const char* BackendKindName(BackendKind kind);
 
-// Configuration of the kCachingSeabed decorator (see caching_backend.h).
+// Configuration of the kCachingSeabed decorator (see caching_backend.h): the
+// inner engine and the result cache. Translated plans are not configured
+// here; the engine memoizes them itself (Executor::plan_cache).
 struct CacheOptions {
   // The backend that executes misses. Any kind except kCachingSeabed.
   BackendKind inner = BackendKind::kSeabed;
@@ -58,13 +60,6 @@ struct CacheOptions {
   // session's Append invalidates the table for all of them. When null the
   // backend creates a private cache from the limits above.
   std::shared_ptr<SharedResultCache> shared;
-
-  // Disables the translated-plan cache (result caching is unaffected).
-  bool cache_plans = true;
-
-  // Plan-memo budget: keys embed filter literals, so parameter sweeps mint
-  // fresh keys; beyond this many plans the least recently used is dropped.
-  size_t plan_cache_entries = 4096;
 };
 
 // Skew-aware shard rebalancing (kShardedSeabed only; the other backends
@@ -134,8 +129,8 @@ struct ExecutionContext {
 };
 
 // Abstract execution backend. Implementations are stateless per call apart
-// from the prepared table state, so concurrent Execute calls are safe
-// (Session::ExecuteBatch relies on this).
+// from the prepared table state and the engine's thread-safe plan cache, so
+// concurrent Execute calls are safe (Session::ExecuteBatch relies on this).
 class Executor {
  public:
   virtual ~Executor();
@@ -175,13 +170,12 @@ class Executor {
   virtual ResultSet ExecutePrepared(const PreparedQuery& prepared,
                                     std::span<const Value> params, QueryStats* stats);
 
-  // Points the backend at a shared translated-plan memo. Shared ownership:
-  // the cache may be installed into many backends across sessions (and into
-  // a Service), so it must be able to outlive any one of them. Backends that
-  // translate per call (kSeabed, kShardedSeabed) consult it before
-  // rebuilding Translator state; the default ignores the cache. Installed by
-  // the kCachingSeabed decorator and by seabed::Service.
-  virtual void SetPlanCache(std::shared_ptr<TranslatedPlanCache> cache) { (void)cache; }
+  // The translated-plan memo of the Seabed engine, which owns the only one
+  // and consults it on every ad-hoc and prepared call; the kCachingSeabed
+  // decorator forwards its inner engine's. Null on kPlain and kPaillier,
+  // which keep no translation to memoize. Read-only: exposed so tests,
+  // benches and seabed::Service can count hits and misses.
+  virtual const TranslatedPlanCache* plan_cache() const { return nullptr; }
 
   // Snapshot of the cumulative skew-rebalancing detail (all zeros on
   // kSeabed, whose single shard never migrates rows), or nullopt on the

@@ -35,7 +35,6 @@ const char* AdmissionOutcomeName(AdmissionOutcome outcome) {
 Service::Service(ServiceOptions options)
     : options_(std::move(options)),
       session_(options_.session),
-      plan_cache_(std::make_shared<TranslatedPlanCache>(options_.session.cache.plan_cache_entries)),
       queue_(options_.max_queue_depth, kLanes) {
   SEABED_CHECK_MSG(options_.num_workers >= 1, "Service needs at least one worker");
   // Appends overlap in-flight queries, which only the Seabed engine's
@@ -48,9 +47,6 @@ Service::Service(ServiceOptions options)
                    "kCachingSeabed over one of them), not "
                        << BackendKindName(engine));
   SEABED_CHECK_MSG(options_.max_batch >= 1, "max_batch must be >= 1");
-  // Share one translated-plan memo across every worker. A no-op on
-  // kCachingSeabed, which installs its own into the engine.
-  session_.executor().SetPlanCache(plan_cache_);
   if (options_.autostart) {
     Start();
   }

@@ -30,9 +30,9 @@
 //     modeled latency on the same worker) must not smuggle an expired query
 //     into execution;
 //   * cross-query SHAPE BATCHING — consecutive queued queries with equal
-//     Query::Fingerprint(kShape) pop as one group, translate once via the
-//     service-owned TranslatedPlanCache, and execute as one
-//     Session::ExecuteBatch. Identical queries (equal kExact fingerprints)
+//     Query::Fingerprint(kShape) pop as one group and execute as one
+//     Session::ExecuteBatch; the engine's plan cache translates each
+//     distinct literal once. Identical queries (equal kExact fingerprints)
 //     additionally coalesce onto a single execution. Prepared submissions
 //     (SubmitPrepared) batch on the prepared handle's shape and serve as one
 //     Session::ExecutePreparedBatch — the group binds per member but
@@ -218,7 +218,9 @@ class Service {
 
   // --- observability ---------------------------------------------------------
   ServiceCounters counters() const;
-  const TranslatedPlanCache& plan_cache() const { return *plan_cache_; }
+  // The engine's plan cache: never null, because the constructor refuses
+  // every stack without the Seabed engine.
+  const TranslatedPlanCache& plan_cache() const { return *session_.executor().plan_cache(); }
   size_t queue_depth() const { return queue_.size(); }
   // The owned session. Execute/Append through it directly only when no
   // workers are running — traffic belongs in Submit/SubmitAppend.
@@ -258,9 +260,6 @@ class Service {
 
   ServiceOptions options_;
   Session session_;
-  // Shared (not owned solely by the service) so SetPlanCache's installee can
-  // outlive a torn-down service without dangling.
-  std::shared_ptr<TranslatedPlanCache> plan_cache_;
   MpmcQueue<Job> queue_;
   std::vector<std::thread> workers_;
   std::atomic<bool> accepting_{true};

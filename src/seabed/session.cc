@@ -9,6 +9,33 @@
 
 namespace seabed {
 
+namespace {
+
+// The batch fan-out behind ExecuteBatch and ExecutePreparedBatch: runs
+// `run_one(i, stats_i)` for every i < n on its own pool, sized to the batch
+// and the host. Results are identical to serial calls, but concurrent
+// queries share the host's cores, so the measured per-task compute feeding
+// QueryStats includes cross-query interference — batch stats trade latency
+// fidelity for throughput.
+template <typename RunOne>
+std::vector<ResultSet> RunBatch(size_t n, std::vector<QueryStats>* stats, RunOne run_one) {
+  std::vector<ResultSet> results(n);
+  if (stats != nullptr) {
+    stats->assign(n, QueryStats{});
+  }
+  if (n == 0) {
+    return results;
+  }
+  ThreadPool pool(
+      std::min(n, static_cast<size_t>(std::max(1u, std::thread::hardware_concurrency()))));
+  pool.ParallelFor(n, [&](size_t i) {
+    results[i] = run_one(i, stats != nullptr ? &(*stats)[i] : nullptr);
+  });
+  return results;
+}
+
+}  // namespace
+
 Session::Session(SessionOptions options)
     : options_(std::move(options)), keys_(ClientKeys::FromSeed(options_.key_seed)) {
   if (options_.external_cluster == nullptr) {
@@ -101,45 +128,16 @@ ResultSet Session::Execute(const PreparedQuery& prepared, std::span<const Value>
 std::vector<ResultSet> Session::ExecutePreparedBatch(
     const PreparedQuery& prepared, std::span<const std::vector<Value>> param_sets,
     std::vector<QueryStats>* stats) {
-  std::vector<ResultSet> results(param_sets.size());
-  if (stats != nullptr) {
-    stats->assign(param_sets.size(), QueryStats{});
-  }
-  if (param_sets.empty()) {
-    return results;
-  }
-  const size_t threads =
-      std::min(param_sets.size(),
-               static_cast<size_t>(std::max(1u, std::thread::hardware_concurrency())));
-  ThreadPool pool(threads);
-  pool.ParallelFor(param_sets.size(), [&](size_t i) {
-    results[i] = executor_->ExecutePrepared(prepared, param_sets[i],
-                                            stats != nullptr ? &(*stats)[i] : nullptr);
+  return RunBatch(param_sets.size(), stats, [&](size_t i, QueryStats* query_stats) {
+    return executor_->ExecutePrepared(prepared, param_sets[i], query_stats);
   });
-  return results;
 }
 
 std::vector<ResultSet> Session::ExecuteBatch(std::span<const Query> queries,
                                              std::vector<QueryStats>* stats) {
-  std::vector<ResultSet> results(queries.size());
-  if (stats != nullptr) {
-    stats->assign(queries.size(), QueryStats{});
-  }
-  if (queries.empty()) {
-    return results;
-  }
-  // Query-level parallelism runs on its own pool. Results are identical to
-  // serial Execute, but concurrent queries share the host's cores, so the
-  // measured per-task compute feeding QueryStats includes cross-query
-  // interference — batch stats trade latency fidelity for throughput.
-  const size_t threads =
-      std::min(queries.size(),
-               static_cast<size_t>(std::max(1u, std::thread::hardware_concurrency())));
-  ThreadPool pool(threads);
-  pool.ParallelFor(queries.size(), [&](size_t i) {
-    results[i] = executor_->Execute(queries[i], stats != nullptr ? &(*stats)[i] : nullptr);
+  return RunBatch(queries.size(), stats, [&](size_t i, QueryStats* query_stats) {
+    return executor_->Execute(queries[i], query_stats);
   });
-  return results;
 }
 
 void Session::UseCluster(const Cluster* cluster) {

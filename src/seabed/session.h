@@ -110,11 +110,12 @@ class Session {
   // --- prepared statements (src/seabed/prepared.h) ---------------------------
   // Validates `shape` (table attached, placeholder slots contiguous and
   // unique) and freezes its fingerprints into a reusable handle. The first
-  // Execute of the handle translates the shape into the plan cache; every
-  // later Execute binds and runs — no parser, no planner lookup, no
-  // retranslation. Shapes whose placeholders land on SPLASHE-protected
-  // columns are marked non-parameterized and transparently fall back to
-  // bind-then-ad-hoc execution (same rows, no plan reuse).
+  // Execute of the handle translates the shape into the engine's plan cache
+  // (Executor::plan_cache); every later Execute binds and runs — no parser,
+  // no planner lookup, no retranslation. Shapes whose placeholders land on
+  // SPLASHE-protected columns are marked non-parameterized and transparently
+  // fall back to bind-then-ad-hoc execution (same rows; like any ad-hoc
+  // query, each distinct literal translates once).
   PreparedQuery Prepare(const Query& shape) const;
 
   // Executes the prepared shape with `params` bound to its slots. Returns
@@ -128,11 +129,12 @@ class Session {
                                               std::span<const std::vector<Value>> param_sets,
                                               std::vector<QueryStats>* stats = nullptr);
 
-  // Runs a batch concurrently on the host pool, reusing the session's
-  // prepared translation state. `stats`, when non-null, is resized to one
-  // entry per query. Rows are identical to serial Execute calls; the timing
-  // fields reflect contended host cores, so use serial Execute when
-  // measuring latency and ExecuteBatch when measuring throughput.
+  // Runs a batch concurrently on the host pool; each query translates or
+  // hits the engine's plan cache on its own. `stats`, when non-null, is
+  // resized to one entry per query. Rows are identical to serial Execute
+  // calls; the timing fields reflect contended host cores, so use serial
+  // Execute when measuring latency and ExecuteBatch when measuring
+  // throughput.
   std::vector<ResultSet> ExecuteBatch(std::span<const Query> queries,
                                       std::vector<QueryStats>* stats = nullptr);
 
@@ -152,6 +154,7 @@ class Session {
   const ClientKeys& keys() const { return keys_; }
   BackendKind backend_kind() const { return options_.backend; }
   Executor& executor() { return *executor_; }
+  const Executor& executor() const { return *executor_; }
 
   // Snapshot of the cumulative shard-rebalancing moves: all zeros on
   // kSeabed (one shard never migrates rows), nullopt on kPlain/kPaillier (or

@@ -816,31 +816,21 @@ ResultSet ShardedSeabedBackend::Run(const Query& shape, const PreparedQuery* pre
 
   // One translation serves every shard: the shards share the encryption
   // plan, keys and table name, so the server plan is identical across the
-  // fleet. An ad-hoc query consults only an installed plan cache (the
-  // caching decorator's or a Service's); a prepared shape falls back to the
-  // backend's own, keyed by the handle's fingerprint so a warm call is one
-  // map lookup away from its plan.
+  // fleet. Both paths memoize it in the engine's plan cache: an ad-hoc query
+  // under its exact fingerprint, a prepared shape under the handle's, so a
+  // warm call is one map lookup away from its plan.
   TranslatorOptions topts = context_->translator;
   topts.cluster_workers = context_->cluster->num_workers();
-  TranslatedPlanCache* cache = plan_cache_.get();
-  if (cache == nullptr && prepared != nullptr) {
-    cache = &own_plan_cache_;
-  }
-  std::string plan_key;
-  std::shared_ptr<const TranslatedQuery> tq;
-  if (cache != nullptr) {
-    plan_key = prepared != nullptr
-                   ? prepared->plan_key_base() + PlanCacheKeySuffix(shape.expected_groups, topts)
-                   : PlanCacheKey(shape, topts);
-    tq = cache->Find(plan_key);
-  }
+  const std::string plan_key =
+      prepared != nullptr
+          ? prepared->plan_key_base() + PlanCacheKeySuffix(shape.expected_groups, topts)
+          : PlanCacheKey(shape, topts);
+  std::shared_ptr<const TranslatedQuery> tq = plan_cache_.Find(plan_key);
   const bool plan_cache_hit = tq != nullptr;
   if (tq == nullptr) {
     const Translator translator(ver->ClientView(), *context_->keys);
     tq = std::make_shared<TranslatedQuery>(translator.Translate(shape, topts));
-    if (cache != nullptr) {
-      cache->Insert(plan_key, tq);
-    }
+    plan_cache_.Insert(plan_key, tq);
   }
   const double translate_seconds = translate_sw.ElapsedSeconds();
 

@@ -42,9 +42,8 @@
 // QueryStats::row_groups_total/pruned aggregate the per-shard indexes.
 //
 // Ad-hoc and prepared queries share one sequence: pin the snapshot, resolve
-// the fact and right-side versions, translate or hit the plan cache, bind,
-// run. An ad-hoc query is the zero-parameter case and consults only an
-// installed plan cache; a prepared one falls back to the backend's own.
+// the fact and right-side versions, translate or hit the engine's plan
+// cache, bind, run. An ad-hoc query is the zero-parameter case.
 //
 // Concurrency: tables live in immutable published versions
 // (ShardedTableVersion). Execute pins the current version through an epoch
@@ -103,9 +102,7 @@ class ShardedSeabedBackend : public Executor {
   ResultSet Execute(const Query& query, QueryStats* stats) override;
   ResultSet ExecutePrepared(const PreparedQuery& prepared, std::span<const Value> params,
                             QueryStats* stats) override;
-  void SetPlanCache(std::shared_ptr<TranslatedPlanCache> cache) override {
-    plan_cache_ = std::move(cache);
-  }
+  const TranslatedPlanCache* plan_cache() const override { return &plan_cache_; }
   std::optional<RebalanceStats> rebalance_stats() const override;
 
   size_t num_shards() const { return shards_; }
@@ -165,8 +162,7 @@ class ShardedSeabedBackend : public Executor {
   // The one query sequence behind Execute and ExecutePrepared: pin, resolve
   // the fact and right-side versions, translate or hit the plan cache, bind,
   // RunTranslated. `prepared` is null for an ad-hoc query (then `shape` is
-  // the query itself and `params` is empty), which consults only an
-  // installed plan cache; a prepared call falls back to own_plan_cache_.
+  // the query itself and `params` is empty).
   ResultSet Run(const Query& shape, const PreparedQuery* prepared,
                 std::span<const Value> params, QueryStats* stats);
 
@@ -209,12 +205,10 @@ class ShardedSeabedBackend : public Executor {
   // Whether Append can ever migrate rows (rebalancing enabled over two or
   // more shards). Only then does a version keep `plain_parts`.
   const bool can_rebalance_;
-  std::shared_ptr<TranslatedPlanCache> plan_cache_;
-  // Shape-plan memo for the prepared path when no external cache was
-  // installed: Prepare+bind never retranslates per call even on a bare
-  // session. The ad-hoc path ignores it, so uncached Execute semantics (and
-  // its translate cost) stay as they are.
-  TranslatedPlanCache own_plan_cache_{256};
+  // The session's only translated-plan memo (default budget: 4096 plans),
+  // consulted by every ad-hoc and prepared call. Per engine, hence per
+  // session: its keys leave out the session's keys and encryption plan.
+  TranslatedPlanCache plan_cache_;
   std::vector<Server> servers_;
   RebalanceStats rebalance_stats_;  // guarded by writer_mu_
 

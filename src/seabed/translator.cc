@@ -476,12 +476,6 @@ void TranslatedPlanCache::Insert(const std::string& key,
   plans_.emplace(key, Entry{std::move(plan), lru_.begin()});
 }
 
-void TranslatedPlanCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  plans_.clear();
-  lru_.clear();
-}
-
 size_t TranslatedPlanCache::size() const {
   std::lock_guard<std::mutex> lock(mu_);
   return plans_.size();

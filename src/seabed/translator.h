@@ -187,14 +187,16 @@ std::string PlanCacheKey(const Query& query, const TranslatorOptions& options);
 // per-execution fingerprint walk.
 std::string PlanCacheKeySuffix(size_t expected_groups, const TranslatorOptions& options);
 
-// Thread-safe memo of translated plans, shared by the backends of one
-// session (Session::ExecuteBatch translates concurrently) or by a whole
-// Service fleet. Entries are immutable shared_ptrs, so a hit outlives a
-// concurrent Clear(). Bounded, with LRU eviction: ad-hoc keys embed exact
-// filter literals, so a dashboard sweeping a parameter (WHERE ts >= <moving
-// t>) churns one-shot entries without limit — eviction must follow recency,
-// or that churn flushes the hot shape-keyed entries prepared statements
-// live on (FIFO would drop them in insertion order regardless of use).
+// Thread-safe memo of translated plans. The Seabed engine owns a session's
+// only one (Executor::plan_cache), which Session::ExecuteBatch and Service
+// workers consult concurrently. Entries are immutable shared_ptrs, so a hit
+// outlives its own eviction. Keys leave out the session's keys and
+// encryption plan, so one cache never serves two sessions. Bounded, with
+// LRU eviction: ad-hoc keys embed exact filter literals, so a dashboard
+// sweeping a parameter (WHERE ts >= <moving t>) churns one-shot entries
+// without limit — eviction must follow recency, or that churn flushes the
+// hot shape-keyed entries prepared statements live on (FIFO would drop them
+// in insertion order regardless of use).
 class TranslatedPlanCache {
  public:
   explicit TranslatedPlanCache(size_t max_entries = 4096);
@@ -202,7 +204,6 @@ class TranslatedPlanCache {
   // Returns the cached plan, or nullptr (counting a hit / miss).
   std::shared_ptr<const TranslatedQuery> Find(const std::string& key);
   void Insert(const std::string& key, std::shared_ptr<const TranslatedQuery> plan);
-  void Clear();
 
   size_t size() const;
   uint64_t hits() const;

@@ -255,8 +255,10 @@ TEST_F(PreparedBackendTest, SplasheSlotsFallBackAndStayCorrect) {
 
 TEST_F(PreparedBackendTest, SweepTranslatesExactlyOncePerShape) {
   Build(BackendKind::kSeabed);
-  auto cache = std::make_shared<TranslatedPlanCache>(64);
-  session_->executor().SetPlanCache(cache);
+  const TranslatedPlanCache& cache = *session_->executor().plan_cache();
+  const size_t size_before = cache.size();
+  const uint64_t misses_before = cache.misses();
+  const uint64_t hits_before = cache.hits();
 
   const Query shape = TwoSlotShape();
   const PreparedQuery prepared = session_->Prepare(shape);
@@ -268,16 +270,17 @@ TEST_F(PreparedBackendTest, SweepTranslatesExactlyOncePerShape) {
     EXPECT_EQ(stats.plan_cache_hit, i > 0);
   }
   // One shape, one translation — the moving literal never mints a plan key.
-  EXPECT_EQ(cache->size(), 1u);
-  EXPECT_EQ(cache->misses(), 1u);
-  EXPECT_EQ(cache->hits(), static_cast<uint64_t>(kSweep - 1));
+  EXPECT_EQ(cache.size() - size_before, 1u);
+  EXPECT_EQ(cache.misses() - misses_before, 1u);
+  EXPECT_EQ(cache.hits() - hits_before, static_cast<uint64_t>(kSweep - 1));
 
   // The same sweep ad-hoc pays one plan entry (and one miss) per literal.
+  const uint64_t misses_before_adhoc = cache.misses();
   for (int i = 0; i < kSweep; ++i) {
     const std::vector<Value> p = {std::string("s3"), int64_t{i}};
     session_->Execute(shape.BindParams(p));
   }
-  EXPECT_EQ(cache->misses(), 1u + kSweep);
+  EXPECT_EQ(cache.misses() - misses_before_adhoc, static_cast<uint64_t>(kSweep));
 }
 
 // --- plan-cache churn regression ---------------------------------------------

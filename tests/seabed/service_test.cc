@@ -238,6 +238,35 @@ TEST_F(ServiceTest, ShapeBatchingCoalescesIdenticalQueriesAndTranslation) {
   EXPECT_EQ(service->plan_cache().misses(), 1u);
 }
 
+// Service::plan_cache() is the engine's own cache, so it counts the same
+// translations on every stack the service serves — including kCachingSeabed,
+// where the decorator's result cache sits in front of the engine.
+TEST_F(ServiceTest, PlanCacheCountsPreparedTranslationsOnEverySeabedStack) {
+  Query shape;
+  shape.table = "synthetic";
+  shape.Sum("value");
+  shape.WhereParam("sel", CmpOp::kLt);
+  for (const BackendKind backend :
+       {BackendKind::kSeabed, BackendKind::kShardedSeabed, BackendKind::kCachingSeabed}) {
+    ServiceOptions options = TestServiceOptions(backend);
+    options.session.cache.inner = BackendKind::kSeabed;
+    std::unique_ptr<Service> service = MakeService(std::move(options));
+    const PreparedQuery prepared = service->Prepare(shape);
+    // One submission at a time: each runs alone, so the first translates
+    // and the other two hit, with no concurrent miss to race it.
+    for (const int64_t bound : {10, 40, 70}) {
+      const std::vector<Value> params = {bound};
+      ServiceResult r = service->SubmitPrepared(prepared, params).get();
+      ASSERT_TRUE(r.ok) << r.error;
+      EXPECT_EQ(RowsAsStrings(r.rows), RowsAsStrings(plain_.Execute(shape.BindParams(params))))
+          << BackendKindName(backend) << " sel<" << bound;
+    }
+    service->Shutdown();
+    EXPECT_EQ(service->plan_cache().misses(), 1u) << BackendKindName(backend);
+    EXPECT_EQ(service->plan_cache().hits(), 2u) << BackendKindName(backend);
+  }
+}
+
 TEST_F(ServiceTest, SameShapeDifferentLiteralsKeepPerQueryStats) {
   ServiceOptions options = TestServiceOptions(BackendKind::kSeabed);
   options.autostart = false;

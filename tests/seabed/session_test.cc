@@ -141,6 +141,10 @@ TEST_F(SessionTest, AllBackendsReturnIdenticalRows) {
     const ResultSet seabed = seabed_.Execute(q);
     const ResultSet paillier = paillier_.Execute(q);
     EXPECT_EQ(RowsAsStrings(seabed), RowsAsStrings(reference));
+    // A bare session memoizes ad-hoc plans: the repeat skips translation.
+    QueryStats repeat;
+    EXPECT_EQ(RowsAsStrings(seabed_.Execute(q, &repeat)), RowsAsStrings(reference));
+    EXPECT_TRUE(repeat.plan_cache_hit);
     EXPECT_EQ(RowsAsStrings(paillier), RowsAsStrings(reference));
     // Probe tier: the same queries at probe off vs. forced, on every backend
     // (kSeabed prunes row groups; kPlain/kPaillier must ignore the knob).
