@@ -127,10 +127,12 @@ double Median(std::vector<double> values) {
 }
 
 int Main() {
-  // Floor of 50k rows: below that the full scan itself is only tens of
-  // microseconds and the gate would be measuring host-timer noise, not the
-  // crossover. (The smoke run's 20k is raised; the sweep stays sub-second.)
-  const uint64_t rows = std::max<uint64_t>(50000, EnvU64("SEABED_BENCH_ROWS", 2000000));
+  // Floor of 8M rows: the unpruned ("off") scan of the <= 1% points must
+  // take milliseconds, or the 2x gate measures host-timer noise, not the
+  // crossover: at a 50k floor it took 10-16 us and s1 read 1.8x. At 8M it
+  // takes 1.7-2.1 ms (4-vCPU Xeon, RelWithDebInfo). The smoke run's 20k is
+  // raised too; the sweep takes ~1.5 s and ~220 MB.
+  const uint64_t rows = std::max<uint64_t>(8000000, EnvU64("SEABED_BENCH_ROWS", 2000000));
   const uint64_t repeat = std::max<uint64_t>(3, EnvU64("SEABED_BENCH_REPEAT", 5));
   BenchRecorder recorder("fig12_probe");
 
@@ -146,14 +148,6 @@ int Main() {
   options.planner.expected_rows = rows;
   Session session(std::move(options));
   session.Attach(MakeClusteredTable(rows), SweepSchema(), SweepSamples());
-  {
-    // Smoke-scale tables get finer row groups: with the default 1024-row
-    // groups a 20k-row table has only ~20 of them, so a 0.1% segment still
-    // costs a whole kilorow-group scan and the crossover blurs into noise.
-    ProbeOptions popts = session.probe_options();
-    popts.row_group_size = rows <= 100000 ? 256 : 1024;
-    session.set_probe_options(popts);
-  }
 
   constexpr ProbeMode kModes[] = {ProbeMode::kOff, ProbeMode::kAuto, ProbeMode::kForced};
   const std::vector<Point> points = SweepPoints();
@@ -167,32 +161,44 @@ int Main() {
 
   bool gate_failed = false;
   for (const Point& point : points) {
-    double medians[std::size(kModes)] = {};
+    // The modes take turns within each repetition, so host load that drifts
+    // during a point's runs lands on every mode alike.
+    std::vector<double> totals[std::size(kModes)];
     QueryStats last_auto, last_forced;
-    for (size_t m = 0; m < std::size(kModes); ++m) {
+    auto run = [&](size_t m, bool timed) {
       ProbeOptions popts = session.probe_options();
       popts.mode = kModes[m];
       session.set_probe_options(popts);
-      session.Execute(point.query, nullptr);  // untimed warm-up (pool spin-up)
-      std::vector<double> totals;
-      for (uint64_t r = 0; r < repeat; ++r) {
-        QueryStats stats;
-        session.Execute(point.query, &stats);
-        totals.push_back(stats.TotalSeconds());
-        recorder.AddStats(ProbeModeName(kModes[m]),
-                          {{"selectivity", point.selectivity},
-                           {"probe_used", stats.probe_used ? 1.0 : 0.0},
-                           {"probe_seconds", stats.probe_seconds},
-                           {"row_groups_pruned", static_cast<double>(stats.row_groups_pruned)},
-                           {"row_groups_total", static_cast<double>(stats.row_groups_total)}},
-                          stats);
-        if (kModes[m] == ProbeMode::kAuto) {
-          last_auto = stats;
-        } else if (kModes[m] == ProbeMode::kForced) {
-          last_forced = stats;
-        }
+      QueryStats stats;
+      session.Execute(point.query, &stats);
+      if (!timed) {
+        return;  // untimed warm-up (pool spin-up)
       }
-      medians[m] = Median(std::move(totals));
+      totals[m].push_back(stats.TotalSeconds());
+      recorder.AddStats(ProbeModeName(kModes[m]),
+                        {{"selectivity", point.selectivity},
+                         {"probe_used", stats.probe_used ? 1.0 : 0.0},
+                         {"probe_seconds", stats.probe_seconds},
+                         {"row_groups_pruned", static_cast<double>(stats.row_groups_pruned)},
+                         {"row_groups_total", static_cast<double>(stats.row_groups_total)}},
+                        stats);
+      if (kModes[m] == ProbeMode::kAuto) {
+        last_auto = stats;
+      } else if (kModes[m] == ProbeMode::kForced) {
+        last_forced = stats;
+      }
+    };
+    for (size_t m = 0; m < std::size(kModes); ++m) {
+      run(m, /*timed=*/false);
+    }
+    for (uint64_t r = 0; r < repeat; ++r) {
+      for (size_t m = 0; m < std::size(kModes); ++m) {
+        run(m, /*timed=*/true);
+      }
+    }
+    double medians[std::size(kModes)] = {};
+    for (size_t m = 0; m < std::size(kModes); ++m) {
+      medians[m] = Median(std::move(totals[m]));
     }
 
     const double off = medians[0], auto_s = medians[1], forced = medians[2];

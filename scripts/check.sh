@@ -65,9 +65,9 @@ cmake -B "$BUILD_DIR" -S . "${CMAKE_ARGS[@]}"
 cmake --build "$BUILD_DIR" -j "$JOBS"
 # --no-tests=error: a configure that silently disabled the suite (e.g. GTest
 # missing) must fail the check, not pass it with zero tests.
-# CTEST_ARGS="-LE slow" skips the slow tier (fuzz equivalence, determinism
-# and the short e2e driver runs);
-# see the ctest label docs in README.
+# CTEST_ARGS="-LE slow" skips the slow tier (fuzz equivalence and
+# determinism); the short e2e driver runs (label `e2e`) stay in, so the
+# sanitizer flavors decode real responses. See the ctest label docs in README.
 # shellcheck disable=SC2086  # CTEST_ARGS is intentionally word-split
 ctest --test-dir "$BUILD_DIR" --output-on-failure --no-tests=error -j "$JOBS" $CTEST_ARGS
 

@@ -61,12 +61,6 @@ class IdSet {
   // Multiset union: *this = *this ∪ other. This is the S1 ∪ S2 of ⊕.
   void UnionWith(const IdSet& other);
 
-  // The multiset union of `runs`, given in any order. Runs already sorted
-  // and disjoint take one linear coalescing pass; overlapping or unordered
-  // runs (e.g. the per-suffix ID lists of an inflated group, Section 4.5)
-  // take one normalization pass. Every run needs lo <= hi and count >= 1.
-  static IdSet FromRuns(std::vector<Run> runs);
-
   // Number of identifiers counting multiplicity.
   uint64_t TotalCount() const;
 

@@ -1,6 +1,7 @@
 #include "src/query/query.h"
 
 #include <algorithm>
+#include <compare>
 #include <sstream>
 
 #include "src/common/check.h"
@@ -215,8 +216,8 @@ void SortRowsByGroupValues(std::vector<std::vector<Value>>& rows, size_t num_gro
   std::sort(rows.begin(), rows.end(),
             [num_group_cols](const std::vector<Value>& a, const std::vector<Value>& b) {
               for (size_t g = 0; g < num_group_cols; ++g) {
-                if (a[g] != b[g]) {
-                  return a[g] < b[g];
+                if (const auto order = a[g] <=> b[g]; order != 0) {
+                  return order < 0;
                 }
               }
               return false;

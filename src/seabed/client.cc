@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <memory>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
@@ -15,36 +16,66 @@
 namespace seabed {
 namespace {
 
-// Deflated (post-merge) per-aggregate state.
-struct MergedAgg {
-  uint64_t ashe_value = 0;
-  std::vector<IdSet::Run> id_runs;  // every blob's runs; normalized once
-  uint64_t row_count = 0;
-  bool minmax_valid = false;
-  OreCiphertext minmax_ore;
-  uint64_t minmax_cipher = 0;
-  uint64_t minmax_id = 0;
-};
+// The server appends a group's inflation suffix as its key's last part, an
+// 8-byte part behind a one-byte length (AppendGroupKeyPart); deflation
+// merges the inflated groups by the rest of the key.
+constexpr size_t kSuffixPartBytes = 9;
 
-struct MergedGroup {
-  const std::vector<Value>* key_parts = nullptr;  // the first server group's
-  std::vector<MergedAgg> aggs;
-};
-
-std::string BaseKey(const ServerGroup& g) {
-  // Re-serialize key parts without the inflation suffix. Must byte-match the
-  // server's key builder (Server::Execute) exactly — deflation merges the
-  // server's inflated groups by this key — so it uses the same
-  // length-prefixed AppendGroupKeyPart encoding.
-  std::string key;
-  for (const Value& v : g.key_parts) {
-    if (const auto* i = std::get_if<int64_t>(&v)) {
-      AppendGroupKeyPart(key, static_cast<uint64_t>(*i));
-    } else {
-      AppendGroupKeyPart(key, std::get<std::string>(v));
+// Adds the ASHE pads of one section's runs to the group elements of `merged`
+// (merged group m, sum a at m * num_aggs + a), which turns them into
+// plaintext sums, and returns the PRF calls made. Each run is decoded
+// once; a chunk's lo-1 / hi endpoints go through the PRF of every sum that
+// shares the chunk's list as one batch (Prf::EvalBatch), and each run adds
+// count * (F(hi) - F(lo-1)) to its group. The pad of a multiset telescopes
+// over any split into runs, so runs from different tasks or inflated groups
+// need no normalization first.
+uint64_t AddSectionPads(const IdListSection& section,
+                        const std::vector<std::vector<size_t>>& sums_of_list,
+                        const std::vector<std::unique_ptr<Prf>>& prf,
+                        const std::vector<uint32_t>& merged_of, size_t num_aggs,
+                        std::vector<ServerAggResult>& merged) {
+  IdListSectionReader reader(section.bytes);
+  const bool identity = section.groups.empty();
+  SEABED_CHECK_MSG(reader.num_lists() == sums_of_list.size() &&
+                       reader.num_groups() ==
+                           (identity ? merged_of.size() : section.groups.size()),
+                   "ID-list section does not match its plan or its groups");
+  constexpr size_t kChunk = Prf::kMaxBatch / 2;
+  IdSet::Run runs[kChunk];
+  uint32_t local[kChunk];
+  size_t base[kChunk];  // `merged` index of each run's merged group
+  uint64_t endpoints[2 * kChunk];
+  uint64_t f[2 * kChunk];
+  uint64_t prf_calls = 0;
+  while (const size_t n = reader.Next(runs, local, kChunk)) {
+    for (size_t k = 0; k < n; ++k) {
+      SEABED_CHECK_MSG(runs[k].lo >= 1, "corrupt ID list: identifier 0");
+      endpoints[2 * k] = runs[k].lo - 1;
+      endpoints[2 * k + 1] = runs[k].hi;
+      const uint32_t g = identity ? local[k] : section.groups[local[k]];
+      SEABED_CHECK_MSG(g < merged_of.size(), "ID-list section names an unknown group");
+      base[k] = merged_of[g] * num_aggs;
     }
+    const std::vector<size_t>& sums = sums_of_list[reader.list()];
+    for (const size_t a : sums) {
+      prf[a]->EvalBatch(endpoints, 2 * n, f);
+      // Consecutive runs of one group (all of them, ungrouped) add up in a
+      // register before they touch the group's sum.
+      size_t at = base[0];
+      uint64_t pad = 0;
+      for (size_t k = 0; k < n; ++k) {
+        if (base[k] != at) {
+          merged[at + a].ashe_value += pad;
+          at = base[k];
+          pad = 0;
+        }
+        pad += runs[k].count * (f[2 * k + 1] - f[2 * k]);
+      }
+      merged[at + a].ashe_value += pad;
+    }
+    prf_calls += 2 * n * sums.size();
   }
-  return key;
+  return prf_calls;
 }
 
 }  // namespace
@@ -54,12 +85,15 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
                           QueryStats* stats) const {
   const ServerPlan& splan = tq.server;
   const ClientPlan& cplan = tq.client;
+  const size_t num_aggs = splan.aggregates.size();
   uint64_t prf_calls = 0;
 
   ResultSet result;
   Stopwatch client_sw;
 
-  // Per-aggregate crypto contexts, keyed by the owning table's name.
+  // Per-aggregate crypto contexts, keyed by the owning table's name: the
+  // PRF of each ASHE sum, grouped by the ID list it reads, and the ASHE key
+  // of each min/max's companion column.
   auto table_name_for = [&](bool on_right) -> const std::string& {
     if (on_right) {
       SEABED_CHECK_MSG(right_db != nullptr, "joined query decoded without right_db");
@@ -67,13 +101,16 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     }
     return db_->plan.table_name;
   };
-  std::vector<std::unique_ptr<Ashe>> agg_ashe(splan.aggregates.size());
-  std::vector<std::unique_ptr<Ashe>> agg_value_ashe(splan.aggregates.size());
-  for (size_t a = 0; a < splan.aggregates.size(); ++a) {
+  const size_t num_lists = NumIdLists(splan);
+  std::vector<std::vector<size_t>> sums_of_list(num_lists);
+  std::vector<std::unique_ptr<Prf>> sum_prf(num_aggs);
+  std::vector<std::unique_ptr<Ashe>> agg_value_ashe(num_aggs);
+  for (size_t a = 0; a < num_aggs; ++a) {
     const ServerAggregate& sa = splan.aggregates[a];
     if (sa.kind == ServerAggregate::Kind::kAsheSum) {
-      agg_ashe[a] = std::make_unique<Ashe>(keys_->DeriveColumnKey(
+      sum_prf[a] = std::make_unique<Prf>(keys_->DeriveColumnKey(
           ColumnKeyLabel(table_name_for(sa.on_right), sa.column)));
+      sums_of_list[sa.on_right ? num_lists - 1 : 0].push_back(a);
     } else if (sa.kind == ServerAggregate::Kind::kOreMin ||
                sa.kind == ServerAggregate::Kind::kOreMax) {
       agg_value_ashe[a] = std::make_unique<Ashe>(keys_->DeriveColumnKey(
@@ -84,7 +121,8 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
   // Group-key decryptors and DET dictionaries, resolved once per call rather
   // than once per group.
   std::vector<std::unique_ptr<DetInt>> group_det(cplan.group_outputs.size());
-  std::vector<const std::map<uint64_t, std::string>*> group_dict(cplan.group_outputs.size());
+  std::vector<const std::unordered_map<uint64_t, std::string>*> group_dict(
+      cplan.group_outputs.size());
   for (size_t g = 0; g < cplan.group_outputs.size(); ++g) {
     const ClientGroupOutput& go = cplan.group_outputs[g];
     if (go.kind == ClientGroupOutput::Kind::kDetInt) {
@@ -97,64 +135,48 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     }
   }
 
-  // 1. Decompress ID lists and deflate inflated groups (merge by base key).
-  // Without inflation the server's groups are already unique, one per key.
-  std::vector<MergedGroup> merged;
-  merged.reserve(response.groups.size());
-  std::unordered_map<std::string, size_t> by_base_key;
-  for (const ServerGroup& g : response.groups) {
-    size_t slot = merged.size();
+  // 1. Deflate inflated groups (merge by base key) and fold each server
+  // group's aggregates into its merged group. Without inflation the
+  // server's groups are already unique, one per key. Merged state is flat:
+  // aggregate a of merged group m at m * num_aggs + a.
+  std::vector<uint32_t> merged_of(response.groups.size());
+  std::vector<const std::vector<Value>*> merged_keys;
+  merged_keys.reserve(response.groups.size());
+  std::vector<ServerAggResult> merged;
+  merged.reserve(response.groups.size() * num_aggs);
+  std::unordered_map<std::string_view, uint32_t> by_base_key;
+  for (size_t g = 0; g < response.groups.size(); ++g) {
+    const ServerGroup& group = response.groups[g];
+    SEABED_CHECK_MSG(group.aggs.size() == num_aggs, "server group does not match its plan");
+    uint32_t m = static_cast<uint32_t>(merged_keys.size());
     if (splan.inflation > 1) {
-      slot = by_base_key.try_emplace(BaseKey(g), merged.size()).first->second;
+      SEABED_CHECK_MSG(group.key.size() >= kSuffixPartBytes, "inflated group without a suffix");
+      const std::string_view base(group.key.data(), group.key.size() - kSuffixPartBytes);
+      m = by_base_key.try_emplace(base, m).first->second;
     }
-    if (slot == merged.size()) {
-      merged.push_back({&g.key_parts, std::vector<MergedAgg>(splan.aggregates.size())});
+    if (m == merged_keys.size()) {
+      merged_keys.push_back(&group.key_parts);
+      merged.resize(merged.size() + num_aggs);
     }
-    MergedGroup& dst = merged[slot];
-    for (size_t a = 0; a < splan.aggregates.size(); ++a) {
-      const ServerAggResult& src = g.aggs[a];
-      MergedAgg& agg = dst.aggs[a];
-      const ServerAggregate& sa = splan.aggregates[a];
-      switch (sa.kind) {
-        case ServerAggregate::Kind::kAsheSum: {
-          agg.ashe_value += src.ashe_value;
-          for (const Bytes& blob : src.id_blobs) {
-            IdListDecodeRuns(blob, agg.id_runs);
-          }
-          break;
-        }
-        case ServerAggregate::Kind::kRowCount:
-          agg.row_count += src.row_count;
-          break;
-        case ServerAggregate::Kind::kOreMin:
-        case ServerAggregate::Kind::kOreMax: {
-          if (!src.minmax_valid) {
-            break;
-          }
-          bool better = !agg.minmax_valid;
-          if (!better) {
-            const int order = Ore::Compare(src.minmax_ore, agg.minmax_ore).order;
-            better = sa.kind == ServerAggregate::Kind::kOreMin ? order < 0 : order > 0;
-          }
-          if (better) {
-            agg.minmax_valid = true;
-            agg.minmax_ore = src.minmax_ore;
-            agg.minmax_cipher = src.minmax_cipher;
-            agg.minmax_id = src.minmax_id;
-          }
-          break;
-        }
-      }
+    merged_of[g] = m;
+    for (size_t a = 0; a < num_aggs; ++a) {
+      merged[m * num_aggs + a].MergeFrom(splan.aggregates[a].kind, group.aggs[a]);
     }
+  }
+
+  // 2. Remove the ASHE pads: one streaming pass over every ID-list section.
+  for (const IdListSection& section : response.id_sections) {
+    prf_calls += AddSectionPads(section, sums_of_list, sum_prf, merged_of, num_aggs, merged);
   }
 
   // SQL semantics: a global aggregate over zero matching rows still yields
   // one (all-zero) result row.
-  if (merged.empty() && cplan.group_outputs.empty()) {
-    merged.push_back({nullptr, std::vector<MergedAgg>(splan.aggregates.size())});
+  if (merged_keys.empty() && cplan.group_outputs.empty()) {
+    merged_keys.push_back(nullptr);
+    merged.resize(num_aggs);
   }
 
-  // 2. Decrypt per group; 3. apply post-processing; 4. render group values.
+  // 3. Decrypt per group; 4. apply post-processing; 5. render group values.
   result.column_names.reserve(cplan.group_outputs.size() + cplan.outputs.size());
   for (const ClientGroupOutput& g : cplan.group_outputs) {
     result.column_names.push_back(g.plain_name);
@@ -163,21 +185,16 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     result.column_names.push_back(o.alias);
   }
 
-  for (MergedGroup& group : merged) {
-    // Decrypt every ASHE aggregate once.
-    std::vector<int64_t> decrypted(splan.aggregates.size(), 0);
-    for (size_t a = 0; a < splan.aggregates.size(); ++a) {
-      const ServerAggregate& sa = splan.aggregates[a];
-      MergedAgg& agg = group.aggs[a];
-      switch (sa.kind) {
-        case ServerAggregate::Kind::kAsheSum: {
-          AsheCiphertext ct;
-          ct.value = agg.ashe_value;
-          ct.ids = IdSet::FromRuns(std::move(agg.id_runs));
-          prf_calls += Ashe::DecryptPrfCalls(ct);
-          decrypted[a] = static_cast<int64_t>(agg_ashe[a]->Decrypt(ct));
+  std::vector<int64_t> decrypted(num_aggs);
+  result.rows.reserve(merged_keys.size());
+  for (size_t m = 0; m < merged_keys.size(); ++m) {
+    for (size_t a = 0; a < num_aggs; ++a) {
+      const ServerAggResult& agg = merged[m * num_aggs + a];
+      decrypted[a] = 0;
+      switch (splan.aggregates[a].kind) {
+        case ServerAggregate::Kind::kAsheSum:
+          decrypted[a] = static_cast<int64_t>(agg.ashe_value);
           break;
-        }
         case ServerAggregate::Kind::kRowCount:
           decrypted[a] = static_cast<int64_t>(agg.row_count);
           break;
@@ -203,7 +220,7 @@ ResultSet Client::Decrypt(const EncryptedResponse& response, const TranslatedQue
     row.reserve(cplan.group_outputs.size() + cplan.outputs.size());
     for (size_t g = 0; g < cplan.group_outputs.size(); ++g) {
       const ClientGroupOutput& go = cplan.group_outputs[g];
-      const Value& part = (*group.key_parts)[g];
+      const Value& part = (*merged_keys[m])[g];
       switch (go.kind) {
         case ClientGroupOutput::Kind::kPlainInt:
         case ClientGroupOutput::Kind::kPlainString:

@@ -1,10 +1,16 @@
 // The Seabed decryption module (paper Section 4.6).
 //
-// Takes the server's encrypted response, decompresses the ID lists, runs the
-// ASHE PRF over the identifier runs to remove the pads, undoes group-by
-// inflation, renders DET tokens back to plaintext values, and applies the
+// Takes the server's encrypted response, undoes group-by inflation, removes
+// the ASHE pads, renders DET tokens back to plaintext values, and applies the
 // client-side post-processing the translator scheduled (AVG division,
 // variance/stddev formulas, MIN/MAX cell decryption).
+//
+// The pads come from one streaming pass over each ID-list section
+// (EncryptedResponse::id_sections): every run is decoded once into a fixed
+// chunk buffer, the chunk's endpoints go through the PRF of each ASHE sum
+// sharing that list as one batch, and count * (F(hi) - F(lo-1)) is added to
+// a flat per-(group, aggregate) pad array. Nothing is allocated per group or
+// per run; runs from different sections telescope without normalization.
 //
 // All client work is wall-clock measured and reported in
 // QueryStats::client_seconds; the modeled server→client transfer goes to

@@ -14,6 +14,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <unordered_map>
 
 #include "src/crypto/paillier.h"
 #include "src/engine/table.h"
@@ -29,8 +30,9 @@ struct EncryptedDatabase {
   std::shared_ptr<Table> table;
   EncryptionPlan plan;
 
-  // DET column name -> (token -> plaintext) for string dimensions.
-  std::map<std::string, std::map<uint64_t, std::string>> det_dictionaries;
+  // DET column name -> (token -> plaintext) for string dimensions. Hashed:
+  // the client renders every group key of a response through it.
+  std::map<std::string, std::unordered_map<uint64_t, std::string>> det_dictionaries;
   // DET column name -> underlying plaintext type (int DET is invertible, so
   // it has no dictionary).
   std::map<std::string, ColumnType> det_value_types;

@@ -1,13 +1,13 @@
 #include "src/seabed/server.h"
 
 #include <algorithm>
-#include <iterator>
 #include <optional>
 
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/encoding/bitmap.h"
 #include "src/encoding/id_list_codec.h"
+#include "src/encoding/varint.h"
 #include "src/seabed/scan_kernels.h"
 
 namespace seabed {
@@ -153,57 +153,36 @@ class ScanFilter {
   std::vector<Step> steps_;
 };
 
-// Running state of one aggregate within one group.
-struct AggSlot {
-  uint64_t value = 0;        // kAsheSum: group-element sum; kRowCount: rows
-  IdSet ids;                 // kAsheSum, until encoded
-  std::vector<Bytes> blobs;  // kAsheSum, worker-side compression: one per task
-  bool minmax_valid = false;  // kOreMin / kOreMax: winner + companion cell
-  OreCiphertext minmax_ore;
-  uint64_t minmax_cipher = 0;
-  uint64_t minmax_id = 0;
-
-  // Keeps the candidate when the slot is empty or the candidate orders
-  // strictly before (MIN) or after (MAX) the current winner.
-  void OfferMinMax(ServerAggregate::Kind kind, const OreCiphertext& ore, uint64_t cipher,
-                   uint64_t id) {
-    if (minmax_valid) {
-      const int order = Ore::Compare(ore, minmax_ore).order;
-      if (kind == ServerAggregate::Kind::kOreMin ? order >= 0 : order <= 0) {
-        return;
-      }
-    }
-    minmax_valid = true;
-    minmax_ore = ore;
-    minmax_cipher = cipher;
-    minmax_id = id;
-  }
-};
-
 // The groups of one task, or of the merged response: fixed-width keys mapped
-// to dense ordinals, and num_aggs slots per ordinal (slot(ord, a)).
+// to dense ordinals, num_aggs slots per ordinal (slot(ord, a)) and num_lists
+// ID lists per ordinal (list(ord, l)), laid out as a section encodes them.
 struct Groups {
   // `expected`: groups to size for up front (a hint).
-  Groups(size_t width, size_t num_aggs, size_t expected = 0)
-      : table(width, expected), num_aggs(num_aggs) {
+  Groups(size_t width, size_t num_aggs, size_t num_lists, size_t expected = 0)
+      : table(width, expected), num_aggs(num_aggs), num_lists(num_lists) {
     slots.reserve(expected * num_aggs);
+    lists.reserve(expected * num_lists);
   }
 
   size_t size() const { return table.size(); }
-  AggSlot& slot(size_t ord, size_t a) { return slots[ord * num_aggs + a]; }
+  ServerAggResult& slot(size_t ord, size_t a) { return slots[ord * num_aggs + a]; }
+  IdSet& list(size_t ord, size_t l) { return lists[ord * num_lists + l]; }
 
   // Ordinal of the key tuple `parts`, with fresh slots for a new group.
   uint32_t Ordinal(const uint64_t* parts) {
     const uint32_t ord = table.FindOrInsert(parts);
     if (ord + 1 == table.size()) {
       slots.resize(table.size() * num_aggs);
+      lists.resize(table.size() * num_lists);
     }
     return ord;
   }
 
   OrdinalTable table;
   size_t num_aggs;
-  std::vector<AggSlot> slots;
+  size_t num_lists;
+  std::vector<ServerAggResult> slots;
+  std::vector<IdSet> lists;
 };
 
 // A GROUP BY column's fixed-width key part: a DET token, a plain int64's
@@ -230,15 +209,19 @@ struct AggInputs {
   size_t width = 0;          // key parts: keys, plus the inflation suffix
   const JoinIndex* join = nullptr;
   const DetColumn* join_left = nullptr;
+  // Per join side (fact, right): the ASHE base id of the side's ID list,
+  // 0 when the side has no ASHE SUM.
+  uint64_t list_base[2] = {0, 0};
 };
 
 // Aggregates one task's row ranges into `out`, one kernel row group at a
 // time, and returns the rows (join: row pairs) that passed. Ungrouped,
 // unjoined scans fold the selection bitmap into group 0 word by word: a
-// popcount for COUNT, a masked sum plus the bitmap's set-bit runs (the ID
-// list, offset by the column's base id) for an ASHE SUM. Otherwise the
-// passing rows (pairs) are gathered, mapped to group ordinals through the
-// task's key table, and each aggregate runs over them as one loop.
+// popcount for COUNT, a masked sum for an ASHE SUM, and the bitmap's set-bit
+// runs (offset by the table's base id) for the group's one ID list.
+// Otherwise the passing rows (pairs) are gathered, mapped to group ordinals
+// through the task's key table, each aggregate runs over them as one loop,
+// and each join side with an ASHE SUM adds its ids to its list once.
 uint64_t AggregateTask(const AggInputs& in, const ScanFilter& filter,
                        const std::vector<RowRange>& ranges, Groups& out) {
   const ServerPlan& plan = in.plan;
@@ -250,7 +233,7 @@ uint64_t AggregateTask(const AggInputs& in, const ScanFilter& filter,
   std::vector<uint64_t> parts(std::max<size_t>(in.width, 1));
   // Right-side ASHE ids of a join arrive in probe order: collected as
   // (ordinal, id) and normalized once, at the end of the task.
-  std::vector<std::vector<std::pair<uint32_t, uint64_t>>> right_ids(num_aggs);
+  std::vector<std::pair<uint32_t, uint64_t>> right_ids;
   uint64_t touched = 0;
   // Ungrouped, unjoined: the whole selection folds into group 0.
   auto fold = [&](size_t begin) {
@@ -260,27 +243,28 @@ uint64_t AggregateTask(const AggInputs& in, const ScanFilter& filter,
     for (size_t a = 0; a < num_aggs; ++a) {
       const ServerAggregate& sa = plan.aggregates[a];
       const AggCols& ac = in.aggs[a];
-      AggSlot& slot = out.slot(ord, a);
+      ServerAggResult& slot = out.slot(ord, a);
       switch (sa.kind) {
-        case ServerAggregate::Kind::kAsheSum: {
-          slot.value += SumSelected(ac.main.ashe->cells().data() + begin, sel);
-          const uint64_t first = ac.main.ashe->IdOfRow(begin);
-          sel.ForEachRun(
-              [&](size_t lo, size_t hi) { slot.ids.AddRange(first + lo, first + hi - 1); });
+        case ServerAggregate::Kind::kAsheSum:
+          slot.ashe_value += SumSelected(ac.main.ashe->cells().data() + begin, sel);
           break;
-        }
         case ServerAggregate::Kind::kRowCount:
-          slot.value += passing;
+          slot.row_count += passing;
           break;
         case ServerAggregate::Kind::kOreMin:
         case ServerAggregate::Kind::kOreMax:
           sel.ForEachSet([&](size_t bit) {
             const size_t r = begin + bit;
-            slot.OfferMinMax(sa.kind, ac.main.ore->Get(r), ac.companion.ashe->Get(r),
-                             ac.companion.ashe->IdOfRow(r));
+            slot.MergeFrom(sa.kind, {0, 0, true, ac.main.ore->Get(r), ac.companion.ashe->Get(r),
+                                     ac.companion.ashe->IdOfRow(r)});
           });
           break;
       }
+    }
+    if (in.list_base[0] != 0) {
+      IdSet& ids = out.list(ord, 0);
+      const uint64_t first = in.list_base[0] + begin;
+      sel.ForEachRun([&](size_t lo, size_t hi) { ids.AddRange(first + lo, first + hi - 1); });
     }
   };
   auto gather = [&](size_t begin) {
@@ -317,50 +301,100 @@ uint64_t AggregateTask(const AggInputs& in, const ScanFilter& filter,
       switch (sa.kind) {
         case ServerAggregate::Kind::kAsheSum: {
           const uint64_t* cells = ac.main.ashe->cells().data();
-          const uint64_t base = ac.main.ashe->base_id();
           for (size_t i = 0; i < src.size(); ++i) {
-            AggSlot& slot = out.slot(ords[i], a);
-            slot.value += cells[src[i]];
-            if (sa.on_right) {
-              right_ids[a].emplace_back(ords[i], base + src[i]);
-            } else {
-              // Fact rows ascend: this appends, or raises the trailing run's
-              // multiplicity for a fact row joined to several right rows.
-              slot.ids.Add(base + src[i]);
-            }
+            out.slot(ords[i], a).ashe_value += cells[src[i]];
           }
           break;
         }
         case ServerAggregate::Kind::kRowCount:
           for (const uint32_t ord : ords) {
-            ++out.slot(ord, a).value;
+            ++out.slot(ord, a).row_count;
           }
           break;
         case ServerAggregate::Kind::kOreMin:
         case ServerAggregate::Kind::kOreMax:
           for (size_t i = 0; i < src.size(); ++i) {
-            out.slot(ords[i], a).OfferMinMax(sa.kind, ac.main.ore->Get(src[i]),
-                                             ac.companion.ashe->Get(src[i]),
-                                             ac.companion.ashe->IdOfRow(src[i]));
+            out.slot(ords[i], a).MergeFrom(
+                sa.kind, {0, 0, true, ac.main.ore->Get(src[i]), ac.companion.ashe->Get(src[i]),
+                          ac.companion.ashe->IdOfRow(src[i])});
           }
           break;
       }
+    }
+    // Fact rows ascend: this appends, or raises the trailing run's
+    // multiplicity for a fact row joined to several right rows.
+    for (size_t i = 0; in.list_base[0] != 0 && i < rows.size(); ++i) {
+      out.list(ords[i], 0).Add(in.list_base[0] + rows[i]);
+    }
+    for (size_t i = 0; in.list_base[1] != 0 && i < rights.size(); ++i) {
+      right_ids.emplace_back(ords[i], in.list_base[1] + rights[i]);
     }
   };
   const bool folds = in.width == 0 && in.join == nullptr;
   for (const RowRange& range : ranges) {
     filter.ForEachSelection(range, sel, [&](size_t begin) { folds ? fold(begin) : gather(begin); });
   }
-  for (size_t a = 0; a < num_aggs; ++a) {
-    std::sort(right_ids[a].begin(), right_ids[a].end());
-    for (const auto& [ord, id] : right_ids[a]) {
-      out.slot(ord, a).ids.Add(id);
-    }
+  std::sort(right_ids.begin(), right_ids.end());
+  for (const auto& [ord, id] : right_ids) {
+    out.list(ord, out.num_lists - 1).Add(id);
   }
   return touched;
 }
 
 }  // namespace
+
+size_t NumIdLists(const ServerPlan& plan) {
+  bool side[2] = {false, false};
+  for (const ServerAggregate& sa : plan.aggregates) {
+    side[sa.on_right ? 1 : 0] |= sa.kind == ServerAggregate::Kind::kAsheSum;
+  }
+  return size_t{side[0]} + size_t{side[1]};
+}
+
+void ServerAggResult::MergeFrom(ServerAggregate::Kind kind, const ServerAggResult& src) {
+  ashe_value += src.ashe_value;
+  row_count += src.row_count;
+  if (!src.minmax_valid) {
+    return;
+  }
+  if (minmax_valid) {
+    const int order = Ore::Compare(src.minmax_ore, minmax_ore).order;
+    if (kind == ServerAggregate::Kind::kOreMin ? order >= 0 : order <= 0) {
+      return;
+    }
+  }
+  minmax_valid = true;
+  minmax_ore = src.minmax_ore;
+  minmax_cipher = src.minmax_cipher;
+  minmax_id = src.minmax_id;
+}
+
+void IdListSection::CompactGroups(size_t response_groups) {
+  bool identity = groups.size() == response_groups;
+  for (size_t j = 0; identity && j < groups.size(); ++j) {
+    identity = groups[j] == j;
+  }
+  if (identity) {
+    groups.clear();
+  }
+}
+
+size_t EncryptedResponse::PayloadBytes() const {
+  size_t bytes = 0;
+  for (const ServerGroup& g : groups) {
+    bytes += g.key.size() + 8 * g.aggs.size();
+    for (const ServerAggResult& agg : g.aggs) {
+      bytes += agg.minmax_valid ? 16 : 0;  // cipher + id
+    }
+  }
+  for (const IdListSection& section : id_sections) {
+    bytes += section.bytes.size();
+    for (const uint32_t g : section.groups) {
+      bytes += VarintSize(g);
+    }
+  }
+  return bytes;
+}
 
 EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster,
                                   const Table* fact_table, const Table* right_override,
@@ -397,6 +431,16 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
                      "group-by on an unsupported encrypted column");
   }
   in.width = in.keys.size() + (plan.inflation > 1 ? 1 : 0);
+  const size_t num_lists = NumIdLists(plan);
+  for (size_t a = 0; a < plan.aggregates.size(); ++a) {
+    if (plan.aggregates[a].kind == ServerAggregate::Kind::kAsheSum) {
+      const uint64_t base = in.aggs[a].main.ashe->base_id();
+      uint64_t& side_base = in.list_base[plan.aggregates[a].on_right ? 1 : 0];
+      SEABED_CHECK_MSG(side_base == 0 || side_base == base,
+                       "the ASHE columns of one table must share its base id");
+      side_base = base;
+    }
+  }
 
   // The join's build side runs the right table's predicates through the same
   // kernels as the fact scan, so only surviving right rows enter the index.
@@ -431,23 +475,19 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
     tasks = PartitionRanges(*scan_ranges, cluster.num_workers());
   }
   const size_t num_aggs = plan.aggregates.size();
-  std::vector<Groups> partials(tasks.size(), Groups(in.width, num_aggs));
+  std::vector<Groups> partials(tasks.size(), Groups(in.width, num_aggs, num_lists));
+  std::vector<IdListSection> sections(tasks.size());
   std::vector<uint64_t> touched(tasks.size());
   const ScanFilter fact_filter(plan, pred_cols, /*on_right=*/false);
+  const bool encode_at_workers = plan.worker_side_compression && num_lists > 0;
   const JobStats job = cluster.RunJob(tasks.size(), [&](size_t p) {
     touched[p] = AggregateTask(in, fact_filter, tasks[p], partials[p]);
     // Worker-side ID-list compression (Section 4.5's winning configuration):
-    // encode inside the task so the cost lands on the worker's clock.
-    if (plan.worker_side_compression) {
-      for (size_t o = 0; o < partials[p].size(); ++o) {
-        for (size_t a = 0; a < num_aggs; ++a) {
-          if (plan.aggregates[a].kind == ServerAggregate::Kind::kAsheSum) {
-            AggSlot& slot = partials[p].slot(o, a);
-            slot.blobs.push_back(IdListEncode(slot.ids, plan.idlist));
-            slot.ids = IdSet();  // shipped as a blob from here on
-          }
-        }
-      }
+    // encode the task's section inside the task so the cost lands on the
+    // worker's clock.
+    if (encode_at_workers && partials[p].size() > 0) {
+      sections[p].bytes = IdListSectionEncode(partials[p].lists, num_lists, plan.idlist);
+      partials[p].lists = {};  // shipped as the section from here on
     }
   });
 
@@ -455,49 +495,56 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
   // also does the shuffle accounting of group-by jobs: every task ships its
   // partial groups to reduce tasks, and with fewer groups than workers few
   // reducers drain all the data (the bottleneck group inflation removes).
+  // A task's section keeps its bytes; only its group ordinals are remapped.
   driver_sw.Restart();
   size_t partial_groups = 0;
   for (const Groups& local : partials) {
     partial_groups += local.size();
   }
-  Groups merged(in.width, num_aggs, partial_groups);
+  Groups merged(in.width, num_aggs, encode_at_workers ? 0 : num_lists, partial_groups);
   std::vector<size_t> shipped;  // per merged group: the tasks that had it
   size_t shuffle_bytes = 0;
-  for (Groups& local : partials) {
+  EncryptedResponse response;
+  for (size_t p = 0; p < partials.size(); ++p) {
+    Groups& local = partials[p];
+    shuffle_bytes += sections[p].bytes.size();
+    sections[p].groups.resize(local.size());
     for (size_t o = 0; o < local.size(); ++o) {
       const uint32_t g = merged.Ordinal(local.table.key(o));
-      const bool fresh = g == shipped.size();
-      if (fresh) {
+      if (g == shipped.size()) {
         shipped.push_back(0);
       }
       ++shipped[g];
-      for (size_t a = 0; a < num_aggs; ++a) {
-        AggSlot& src = local.slot(o, a);
-        AggSlot& dst = merged.slot(g, a);
-        // 8 bytes per aggregate, plus its encoded blob or, compressed at
-        // the driver, a raw estimate of its runs.
-        shuffle_bytes += 8 + src.ids.NumRuns() * 10;
-        for (const Bytes& blob : src.blobs) {
-          shuffle_bytes += blob.size();
-        }
-        if (fresh) {
-          dst = std::move(src);
-          continue;
-        }
-        dst.value += src.value;  // kAsheSum, kRowCount
-        dst.ids.UnionWith(src.ids);
-        std::move(src.blobs.begin(), src.blobs.end(), std::back_inserter(dst.blobs));
-        if (src.minmax_valid) {
-          dst.OfferMinMax(plan.aggregates[a].kind, src.minmax_ore, src.minmax_cipher,
-                          src.minmax_id);
+      // 8 bytes per aggregate; lists compressed at the driver ship a raw
+      // estimate of their runs.
+      shuffle_bytes += 8 * num_aggs;
+      if (encode_at_workers) {
+        sections[p].groups[o] = g;
+      } else {
+        for (size_t l = 0; l < num_lists; ++l) {
+          shuffle_bytes += local.list(o, l).NumRuns() * 10;
+          merged.list(g, l).UnionWith(local.list(o, l));
         }
       }
+      for (size_t a = 0; a < num_aggs; ++a) {
+        merged.slot(g, a).MergeFrom(plan.aggregates[a].kind, local.slot(o, a));
+      }
     }
+  }
+  for (IdListSection& section : sections) {
+    if (!section.bytes.empty()) {
+      section.CompactGroups(merged.size());
+      response.id_sections.push_back(std::move(section));
+    }
+  }
+  // Driver-side compression: one section for every group of the response.
+  if (!encode_at_workers && num_lists > 0 && merged.size() > 0) {
+    response.id_sections.push_back(
+        {{}, IdListSectionEncode(merged.lists, num_lists, plan.idlist)});
   }
 
   // Groups leave in ordinal order, each key serialized once, here; the
   // client orders its rows by plaintext group value.
-  EncryptedResponse response;
   response.groups.reserve(merged.size());
   for (size_t g = 0; g < merged.size(); ++g) {
     ServerGroup out;
@@ -513,34 +560,11 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
       }
     }
     if (plan.inflation > 1) {
-      out.inflation_suffix = parts[in.keys.size()];
-      AppendGroupKeyPart(out.key, out.inflation_suffix);
+      AppendGroupKeyPart(out.key, parts[in.keys.size()]);
     }
     shuffle_bytes += shipped[g] * out.key.size();
-    out.aggs.resize(num_aggs);
-    for (size_t a = 0; a < num_aggs; ++a) {
-      ServerAggResult& res = out.aggs[a];
-      AggSlot& slot = merged.slot(g, a);
-      switch (plan.aggregates[a].kind) {
-        case ServerAggregate::Kind::kAsheSum:
-          res.ashe_value = slot.value;
-          res.id_blobs = std::move(slot.blobs);
-          if (!plan.worker_side_compression) {
-            res.id_blobs.push_back(IdListEncode(slot.ids, plan.idlist));
-          }
-          break;
-        case ServerAggregate::Kind::kRowCount:
-          res.row_count = slot.value;
-          break;
-        case ServerAggregate::Kind::kOreMin:
-        case ServerAggregate::Kind::kOreMax:
-          res.minmax_valid = slot.minmax_valid;
-          res.minmax_ore = slot.minmax_ore;
-          res.minmax_cipher = slot.minmax_cipher;
-          res.minmax_id = slot.minmax_id;
-          break;
-      }
-    }
+    out.aggs.assign(merged.slots.begin() + g * num_aggs,
+                    merged.slots.begin() + (g + 1) * num_aggs);
     response.groups.push_back(std::move(out));
   }
   if (in.width > 0) {
@@ -549,21 +573,7 @@ EncryptedResponse Server::Execute(const ServerPlan& plan, const Cluster& cluster
   }
   driver_seconds += driver_sw.ElapsedSeconds();
 
-  // Response size accounting.
-  size_t bytes = 0;
-  for (const ServerGroup& g : response.groups) {
-    bytes += g.key.size();
-    for (const ServerAggResult& agg : g.aggs) {
-      bytes += 8;
-      for (const Bytes& blob : agg.id_blobs) {
-        bytes += blob.size();
-      }
-      if (agg.minmax_valid) {
-        bytes += 16;  // cipher + id
-      }
-    }
-  }
-  response.response_bytes = bytes;
+  response.response_bytes = response.PayloadBytes();
   response.job = job;
   response.driver_seconds = driver_seconds;
   for (const uint64_t t : touched) {

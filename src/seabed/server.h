@@ -5,11 +5,11 @@
 // (src/seabed/scan_kernels.h), performs ASHE aggregation (group-element sums
 // plus ID-list maintenance), applies the group-by inflation the translator
 // requested, and compresses ID lists either at the workers (parallel,
-// Seabed's default) or at the driver (the rejected alternative of Section
-// 4.5). A join is a broadcast hash join on DET tokens: the build side
-// filters the right table with its own predicates and indexes only the
-// surviving rows, then the fact scan probes that index with each row that
-// passes the fact-side predicates.
+// Seabed's default: one section per task) or at the driver (the rejected
+// alternative of Section 4.5: one section per response). A join is a
+// broadcast hash join on DET tokens: the build side filters the right table
+// with its own predicates and indexes only the surviving rows, then the fact
+// scan probes that index with each row that passes the fact-side predicates.
 //
 // Aggregation is columnar: an ungrouped, unjoined scan folds each selection
 // bitmap into one group (popcount, masked sum, set-bit runs); otherwise each
@@ -35,10 +35,10 @@ namespace seabed {
 
 // Per-aggregate server result within one group.
 struct ServerAggResult {
-  // kAsheSum: running group element + compressed ID list blobs (one per
-  // partition under worker-side compression, a single blob otherwise).
+  // kAsheSum: the running group element. Its identifier multiset is the
+  // group's ID list for the aggregate's join side (EncryptedResponse::
+  // id_sections).
   uint64_t ashe_value = 0;
-  std::vector<Bytes> id_blobs;
 
   // kRowCount.
   uint64_t row_count = 0;
@@ -48,23 +48,55 @@ struct ServerAggResult {
   OreCiphertext minmax_ore;
   uint64_t minmax_cipher = 0;
   uint64_t minmax_id = 0;
+
+  // Folds another partial of the same aggregate into this one: group
+  // elements and row counts add, and `src`'s ORE winner replaces this one's
+  // when there is none yet or it orders strictly before (MIN) or after
+  // (MAX).
+  void MergeFrom(ServerAggregate::Kind kind, const ServerAggResult& src);
 };
 
 struct ServerGroup {
-  // Serialized group key (includes the inflation suffix).
+  // Serialized group key. Under inflation its last part is the suffix, which
+  // the client strips to deflate.
   std::string key;
-  // Raw key parts: DET tokens (as int64), plain ints, or plain strings.
+  // Raw key parts (no suffix): DET tokens (as int64), plain ints, or plain
+  // strings.
   std::vector<Value> key_parts;
-  // Inflation suffix carried separately so the client can deflate.
-  uint64_t inflation_suffix = 0;
   std::vector<ServerAggResult> aggs;
 };
 
+// The ID lists of some of a response's groups, as one encoded section
+// (src/encoding/id_list_codec.h): section group j belongs to response group
+// groups[j], or to response group j when `groups` is empty (the section then
+// covers every group of the response, in order). A group has one list per
+// join side with an ASHE SUM (NumIdLists), shared by every sum on that side,
+// because the ASHE columns of a table share its base id. Under worker-side
+// compression each task ships its own section, so a group's multiset is the
+// union of its lists across sections; at the driver one section covers every
+// group.
+struct IdListSection {
+  std::vector<uint32_t> groups;
+  Bytes bytes;
+
+  // Empties `groups` when it maps section group j to response group j for
+  // all `response_groups` groups.
+  void CompactGroups(size_t response_groups);
+};
+
+// The number of ID lists per group: one per join side with an ASHE SUM.
+// A fact-side sum uses list 0, a right-side sum the last list.
+size_t NumIdLists(const ServerPlan& plan);
+
 struct EncryptedResponse {
   // One entry per distinct key, in no particular order (a single server
-  // emits first-seen order; the coordinator merges shards by key). Clients
-  // sort their decrypted rows by plaintext group value (ResultSet::rows).
+  // emits first-seen order, the coordinator first-seen across shards).
+  // Clients sort their decrypted rows by plaintext group value
+  // (ResultSet::rows).
   std::vector<ServerGroup> groups;
+  // The ASHE sums' identifier lists: one section per task under worker-side
+  // compression (per shard, concatenated by the coordinator), one otherwise.
+  std::vector<IdListSection> id_sections;
 
   JobStats job;                 // scan + worker-side encode
   double driver_seconds = 0;    // merge + driver-side encode
@@ -76,6 +108,10 @@ struct EncryptedResponse {
   double ServerSeconds() const {
     return job.server_seconds + driver_seconds + shuffle_seconds;
   }
+
+  // The payload's size on the wire: keys, 8 bytes per aggregate, 16 per ORE
+  // winner, section bytes and their group ordinals as varints.
+  size_t PayloadBytes() const;
 };
 
 // Round-one result of the server-side row-group probe.

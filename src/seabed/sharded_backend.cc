@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <numeric>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 
 #include "src/common/check.h"
@@ -74,86 +75,57 @@ void OwnShard(ShardedTableVersion& next, size_t s, std::vector<char>& rebuilt) {
   rebuilt[s] = 1;
 }
 
-// Keeps an ORE winner if `src` beats it (or `dst` has none yet).
-void ReduceMinMax(ServerAggregate::Kind kind, const ServerAggResult& src, ServerAggResult& dst) {
-  if (!src.minmax_valid) {
-    return;
-  }
-  bool better = !dst.minmax_valid;
-  if (!better) {
-    const int order = Ore::Compare(src.minmax_ore, dst.minmax_ore).order;
-    better = kind == ServerAggregate::Kind::kOreMin ? order < 0 : order > 0;
-  }
-  if (better) {
-    dst.minmax_valid = true;
-    dst.minmax_ore = src.minmax_ore;
-    dst.minmax_cipher = src.minmax_cipher;
-    dst.minmax_id = src.minmax_id;
-  }
-}
-
 // The coordinator merge: combines per-shard encrypted responses without any
-// key material. Groups union-merge by serialized key; within a group, ASHE
-// sums add ciphertext-side (ID blobs concatenate — identifier spaces are
-// disjoint), counts add, and ORE min/max reduce. Timing fields model the
-// shards running in parallel (max), byte counts add. The caller adds the
-// measured merge wall-clock to `driver_seconds`.
+// key material. Groups union-merge by serialized key, in first-seen order;
+// within a group, ASHE sums add ciphertext-side, counts add, and ORE min/max
+// reduce. Every shard's ID-list sections pass through with their bytes
+// intact, their group ordinals remapped to the merged groups (identifier
+// spaces are disjoint, and the client adds a group's pads across sections).
+// Timing fields model the shards running in parallel (max), byte counts add.
+// The caller adds the measured merge wall-clock to `driver_seconds`.
 EncryptedResponse MergeShardResponses(const ServerPlan& plan,
                                       std::vector<EncryptedResponse>& parts) {
   EncryptedResponse out;
   std::vector<JobStats> jobs;
   jobs.reserve(parts.size());
-  std::map<std::string, ServerGroup> merged;
+  std::unordered_map<std::string, uint32_t> ordinal_of_key;
+  std::vector<uint32_t> remap;
   for (EncryptedResponse& part : parts) {
     jobs.push_back(part.job);
     out.driver_seconds = std::max(out.driver_seconds, part.driver_seconds);
     out.shuffle_seconds = std::max(out.shuffle_seconds, part.shuffle_seconds);
     out.shuffle_bytes += part.shuffle_bytes;
     out.rows_touched += part.rows_touched;
-    for (ServerGroup& group : part.groups) {
-      auto [it, inserted] = merged.try_emplace(group.key, std::move(group));
+    remap.resize(part.groups.size());
+    for (size_t j = 0; j < part.groups.size(); ++j) {
+      ServerGroup& group = part.groups[j];
+      const auto [it, inserted] =
+          ordinal_of_key.try_emplace(group.key, static_cast<uint32_t>(out.groups.size()));
+      remap[j] = it->second;
       if (inserted) {
+        out.groups.push_back(std::move(group));
         continue;
       }
-      ServerGroup& dst = it->second;
+      ServerGroup& dst = out.groups[it->second];
       for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-        ServerAggResult& da = dst.aggs[a];
-        ServerAggResult& sa = group.aggs[a];
-        switch (plan.aggregates[a].kind) {
-          case ServerAggregate::Kind::kAsheSum:
-            da.ashe_value += sa.ashe_value;
-            da.id_blobs.insert(da.id_blobs.end(),
-                               std::make_move_iterator(sa.id_blobs.begin()),
-                               std::make_move_iterator(sa.id_blobs.end()));
-            break;
-          case ServerAggregate::Kind::kRowCount:
-            da.row_count += sa.row_count;
-            break;
-          case ServerAggregate::Kind::kOreMin:
-          case ServerAggregate::Kind::kOreMax:
-            ReduceMinMax(plan.aggregates[a].kind, sa, da);
-            break;
-        }
+        dst.aggs[a].MergeFrom(plan.aggregates[a].kind, group.aggs[a]);
       }
     }
+    for (IdListSection& section : part.id_sections) {
+      for (uint32_t& g : section.groups) {
+        g = remap[g];
+      }
+      if (section.groups.empty()) {
+        section.groups = remap;  // the part's identity mapping
+      }
+      out.id_sections.push_back(std::move(section));
+    }
+  }
+  for (IdListSection& section : out.id_sections) {
+    section.CompactGroups(out.groups.size());
   }
   out.job = MergeParallelJobs(jobs);
-
-  size_t bytes = 0;
-  for (auto& [key, group] : merged) {
-    bytes += group.key.size();
-    for (const ServerAggResult& agg : group.aggs) {
-      bytes += 8;
-      for (const Bytes& blob : agg.id_blobs) {
-        bytes += blob.size();
-      }
-      if (agg.minmax_valid) {
-        bytes += 16;
-      }
-    }
-    out.groups.push_back(std::move(group));
-  }
-  out.response_bytes = bytes;
+  out.response_bytes = out.PayloadBytes();
   return out;
 }
 

@@ -173,7 +173,8 @@ TEST_P(AsheRunCountSweepTest, BatchedDecryptMatchesPerRunRangeDelta) {
   const Ashe ashe(key);
   const Prf prf(key);
   Rng rng(num_runs);
-  std::vector<IdSet::Run> runs;
+  AsheCiphertext ct;
+  ct.value = 12345;
   uint64_t next = 1 + rng.Below(3);
   uint64_t expected_pad = 0;
   for (size_t r = 0; r < num_runs; ++r) {
@@ -182,13 +183,12 @@ TEST_P(AsheRunCountSweepTest, BatchedDecryptMatchesPerRunRangeDelta) {
     const uint64_t lo = next;
     const uint64_t hi = lo + (r % 4 == 0 ? 0 : rng.Below(r % 4 == 1 ? 3 : 500));
     const uint64_t count = r % 3 == 2 ? 2 + rng.Below(5) : 1;
-    runs.push_back({lo, hi, count});
+    for (uint64_t c = 0; c < count; ++c) {
+      ct.ids.UnionWith(IdSet::FromRange(lo, hi));
+    }
     expected_pad += count * prf.RangeDelta(lo, hi);
     next = hi + 2 + rng.Below(4);
   }
-  AsheCiphertext ct;
-  ct.value = 12345;
-  ct.ids = IdSet::FromRuns(runs);
   ASSERT_EQ(ct.ids.NumRuns(), num_runs);
   EXPECT_EQ(ashe.Decrypt(ct), 12345 + expected_pad);
 }

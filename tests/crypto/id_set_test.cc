@@ -144,56 +144,21 @@ TEST(IdSetTest, InterleavedUnionNormalizes) {
   EXPECT_EQ(count5, 2u);
 }
 
-TEST(IdSetTest, FromRunsCoalescesSortedRuns) {
-  const IdSet s = IdSet::FromRuns({{1, 5, 1}, {6, 10, 1}, {11, 11, 2}, {20, 30, 1}});
-  ASSERT_EQ(s.NumRuns(), 3u);
-  EXPECT_EQ(s.runs()[0], (IdSet::Run{1, 10, 1}));
-  EXPECT_EQ(s.runs()[1], (IdSet::Run{11, 11, 2}));
-  EXPECT_EQ(s.runs()[2], (IdSet::Run{20, 30, 1}));
-}
-
-TEST(IdSetTest, FromRunsNormalizesOverlapAfterCoalescing) {
-  // The first two runs coalesce before the third overlaps them; the
-  // coalesced prefix must not be counted twice.
-  const IdSet s = IdSet::FromRuns({{1, 5, 1}, {6, 10, 1}, {3, 4, 1}});
-  EXPECT_EQ(s.TotalCount(), 12u);
-  ASSERT_EQ(s.NumRuns(), 3u);
-  EXPECT_EQ(s.runs()[0], (IdSet::Run{1, 2, 1}));
-  EXPECT_EQ(s.runs()[1], (IdSet::Run{3, 4, 2}));
-  EXPECT_EQ(s.runs()[2], (IdSet::Run{5, 10, 1}));
-}
-
-TEST(IdSetTest, FromRunsEqualsRepeatedUnion) {
-  // Interleaved parts, as an inflated group's per-suffix lists arrive.
-  std::vector<IdSet::Run> runs;
-  IdSet expected;
-  for (uint64_t part = 0; part < 4; ++part) {
-    IdSet p;
-    for (uint64_t id = 1 + part; id < 400; id += 3) {
-      p.Add(id);
-    }
-    runs.insert(runs.end(), p.runs().begin(), p.runs().end());
-    expected.UnionWith(p);
-  }
-  EXPECT_EQ(IdSet::FromRuns(runs), expected);
-}
-
-TEST(IdSetTest, OutOfOrderRepeatedAddsEqualFromRuns) {
+TEST(IdSetTest, OutOfOrderRepeatedAddsEqualRepeatedUnion) {
   // Ids in random order, many repeated (a right-side join aggregate, or a
   // fact row joined to several right rows): the splicing Add must build the
-  // same canonical set as FromRuns over the same ids, without ever
-  // re-sorting the run vector.
+  // same canonical set as the multiset union of the same singletons,
+  // without ever re-sorting the run vector.
   for (uint64_t seed = 1; seed <= 50; ++seed) {
     Rng rng(seed);
     IdSet added;
-    std::vector<IdSet::Run> singletons;
+    IdSet expected;
     const size_t n = 1 + rng.Below(300);
     for (size_t i = 0; i < n; ++i) {
       const uint64_t id = 1 + rng.Below(64);
       added.Add(id);
-      singletons.push_back({id, id, 1});
+      expected.UnionWith(IdSet::Single(id));
     }
-    const IdSet expected = IdSet::FromRuns(singletons);
     EXPECT_EQ(added, expected) << seed;
     // Canonical: sorted, disjoint, touching runs differ in count.
     for (size_t r = 1; r < added.NumRuns(); ++r) {

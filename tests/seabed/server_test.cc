@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "src/common/rng.h"
 #include "src/query/plain_executor.h"
 #include "src/seabed/client.h"
@@ -65,7 +67,7 @@ class ServerTest : public ::testing::Test {
   Server server_;
 };
 
-TEST_F(ServerTest, GlobalSumProducesOneGroupWithBlobs) {
+TEST_F(ServerTest, GlobalSumShipsOneSectionPerTask) {
   Query q;
   q.table = "s";
   q.Sum("m");
@@ -73,13 +75,18 @@ TEST_F(ServerTest, GlobalSumProducesOneGroupWithBlobs) {
   const EncryptedResponse r = server_.Execute(tq.server, cluster_, db_.table.get(), nullptr);
   ASSERT_EQ(r.groups.size(), 1u);
   ASSERT_EQ(r.groups[0].aggs.size(), 1u);
-  // Worker-side compression: one blob per partition that saw rows.
-  EXPECT_EQ(r.groups[0].aggs[0].id_blobs.size(), 4u);
+  // Worker-side compression: one section per partition that saw rows, each
+  // holding the one group's list (so its group mapping is the identity and
+  // ships empty).
+  ASSERT_EQ(r.id_sections.size(), 4u);
+  for (const IdListSection& section : r.id_sections) {
+    EXPECT_TRUE(section.groups.empty());
+  }
   EXPECT_GT(r.response_bytes, 0u);
   EXPECT_EQ(r.shuffle_bytes, 0u);  // no group-by: no shuffle accounting
 }
 
-TEST_F(ServerTest, DriverSideCompressionYieldsSingleBlob) {
+TEST_F(ServerTest, DriverSideCompressionYieldsOneSection) {
   Query q;
   q.table = "s";
   q.Sum("m");
@@ -88,7 +95,7 @@ TEST_F(ServerTest, DriverSideCompressionYieldsSingleBlob) {
   const TranslatedQuery tq = Translate(q, topts);
   const EncryptedResponse r = server_.Execute(tq.server, cluster_, db_.table.get(), nullptr);
   ASSERT_EQ(r.groups.size(), 1u);
-  EXPECT_EQ(r.groups[0].aggs[0].id_blobs.size(), 1u);
+  EXPECT_EQ(r.id_sections.size(), 1u);
   EXPECT_GT(r.driver_seconds, 0.0);
 }
 
@@ -111,13 +118,52 @@ TEST_F(ServerTest, InflationMultipliesWireGroups) {
   const TranslatedQuery tq = Translate(q);
   EXPECT_EQ(tq.server.inflation, 2u);
   const EncryptedResponse r = server_.Execute(tq.server, cluster_, db_.table.get(), nullptr);
-  EXPECT_EQ(r.groups.size(), 4u);  // 2 groups x 2 suffixes
-  // Suffixes recorded for client deflation.
-  bool saw_nonzero_suffix = false;
+  ASSERT_EQ(r.groups.size(), 4u);  // 2 groups x 2 suffixes
+  // Each key ends in its suffix, an 8-byte part the client strips to
+  // deflate: 4 distinct keys over 2 distinct prefixes.
+  std::set<std::string> keys, prefixes;
   for (const auto& g : r.groups) {
-    saw_nonzero_suffix |= g.inflation_suffix != 0;
+    keys.insert(g.key);
+    prefixes.insert(g.key.substr(0, g.key.size() - 9));
   }
-  EXPECT_TRUE(saw_nonzero_suffix);
+  EXPECT_EQ(keys.size(), 4u);
+  EXPECT_EQ(prefixes.size(), 2u);
+}
+
+TEST_F(ServerTest, TaskSeamsCostTwoPrfCallsEach) {
+  // The client streams each task's section on its own, so a run cut by a
+  // task boundary is not coalesced: each of the tasks - 1 seams costs one
+  // more run, 2 PRF calls, per group and sum. All 1000 rows pass: one run
+  // on one worker, four runs on four.
+  Query q;
+  q.table = "s";
+  q.Sum("m");
+  ClusterConfig one_cfg = Config();
+  one_cfg.num_workers = 1;
+  const Cluster one(one_cfg);
+  uint64_t prf_calls[2] = {0, 0};
+  for (const Cluster* cluster : {&one, static_cast<const Cluster*>(&cluster_)}) {
+    TranslatorOptions topts;
+    topts.cluster_workers = cluster->num_workers();
+    const TranslatedQuery tq = Translator(db_, keys_).Translate(q, topts);
+    const EncryptedResponse r = server_.Execute(tq.server, *cluster, db_.table.get(), nullptr);
+    QueryStats stats;
+    const ResultSet rows = Client(db_, keys_).Decrypt(r, tq, *cluster, nullptr, &stats);
+    EXPECT_EQ(std::get<int64_t>(rows.rows.at(0).at(0)), 999 * 1000 / 2);
+    prf_calls[cluster == &one ? 0 : 1] = stats.prf_calls;
+  }
+  EXPECT_EQ(prf_calls[0], 2u);
+  EXPECT_EQ(prf_calls[1], prf_calls[0] + 2 * (4 - 1));
+}
+
+TEST_F(ServerTest, CountOnlyQueryShipsNoSection) {
+  Query q;
+  q.table = "s";
+  q.Count().GroupBy("g");
+  const TranslatedQuery tq = Translate(q);
+  const EncryptedResponse r = server_.Execute(tq.server, cluster_, db_.table.get(), nullptr);
+  EXPECT_EQ(r.groups.size(), 2u);
+  EXPECT_TRUE(r.id_sections.empty());
 }
 
 TEST_F(ServerTest, ServerSeesOnlyCiphertext) {
@@ -155,6 +201,74 @@ TEST_F(ServerTest, ResponseBytesGrowWithSelectivityFragmentation) {
   const EncryptedResponse r_odd =
       server_.Execute(Translate(odd, topts).server, cluster_, db_.table.get(), nullptr);
   EXPECT_GT(r_odd.response_bytes, r_all.response_bytes);
+}
+
+TEST(ServerSectionTest, SumsOfOneTableShareOneList) {
+  // Every ASHE column of a table shares its base id, so SUM(a), SUM(b),
+  // SUM(c) of one group carry one multiset: the response ships exactly the
+  // section bytes of SUM(a) alone, and still decrypts like kPlain.
+  PlainSchema schema;
+  schema.table_name = "t";
+  schema.columns.push_back({"g", ColumnType::kString, true, std::nullopt});
+  for (const char* name : {"a", "b", "c"}) {
+    schema.columns.push_back({name, ColumnType::kInt64, true, std::nullopt});
+  }
+  auto table = std::make_shared<Table>("t");
+  auto g = std::make_shared<StringColumn>();
+  std::shared_ptr<Int64Column> measures[3] = {std::make_shared<Int64Column>(),
+                                              std::make_shared<Int64Column>(),
+                                              std::make_shared<Int64Column>()};
+  Rng rng(44);
+  for (int i = 0; i < 6000; ++i) {
+    g->Append("g" + std::to_string(rng.Below(7)));
+    for (auto& m : measures) {
+      m->Append(rng.Range(-50, 500));
+    }
+  }
+  table->AddColumn("g", g);
+  table->AddColumn("a", measures[0]);
+  table->AddColumn("b", measures[1]);
+  table->AddColumn("c", measures[2]);
+
+  Query three;
+  three.table = "t";
+  three.Sum("a").Sum("b").Sum("c").GroupBy("g");
+  Query one;
+  one.table = "t";
+  one.Sum("a").GroupBy("g");
+  PlannerOptions popts;
+  popts.expected_rows = 6000;
+  const ClientKeys keys = ClientKeys::FromSeed(45);
+  const EncryptedDatabase db =
+      Encryptor(keys).Encrypt(*table, schema, PlanEncryption(schema, {three}, popts));
+  ClusterConfig cfg;
+  cfg.num_workers = 4;
+  const Cluster cluster(cfg);
+  TranslatorOptions topts;
+  topts.cluster_workers = 4;
+  for (const bool at_workers : {true, false}) {
+    topts.worker_side_compression = at_workers;
+    const Translator translator(db, keys);
+    const TranslatedQuery tq3 = translator.Translate(three, topts);
+    const TranslatedQuery tq1 = translator.Translate(one, topts);
+    const EncryptedResponse r3 = Server().Execute(tq3.server, cluster, db.table.get(), nullptr);
+    const EncryptedResponse r1 = Server().Execute(tq1.server, cluster, db.table.get(), nullptr);
+    EXPECT_EQ(NumIdLists(tq3.server), 1u);
+    ASSERT_EQ(r3.id_sections.size(), at_workers ? 4u : 1u);
+    ASSERT_EQ(r3.id_sections.size(), r1.id_sections.size());
+    for (size_t i = 0; i < r3.id_sections.size(); ++i) {
+      EXPECT_EQ(r3.id_sections[i].bytes, r1.id_sections[i].bytes);
+      EXPECT_EQ(r3.id_sections[i].groups, r1.id_sections[i].groups);
+    }
+    QueryStats stats;
+    const ResultSet got = Client(db, keys).Decrypt(r3, tq3, cluster, nullptr, &stats);
+    const ResultSet want = ExecutePlain(*table, three, cluster, nullptr, nullptr);
+    EXPECT_EQ(RowsAsStrings(got), RowsAsStrings(want));
+    // Each run of the shared list is decoded once and evaluated per sum.
+    QueryStats one_stats;
+    Client(db, keys).Decrypt(r1, tq1, cluster, nullptr, &one_stats);
+    EXPECT_EQ(stats.prf_calls, 3 * one_stats.prf_calls);
+  }
 }
 
 TEST(ServerGroupKeyTest, AdjacentStringPartsNeverAlias) {
