@@ -1,17 +1,18 @@
-// "Figure 11" (beyond the paper): dashboard refresh latency with the caching
-// backend.
+// "Figure 11" (beyond the paper): dashboard refresh latency with the Seabed
+// engine's result cache.
 //
 // The paper's Section 5 workload study found BI dashboards re-issue a small
 // set of aggregate shapes over and over. This bench models one dashboard of
-// five panels refreshed repeatedly against kCachingSeabed (inner: the
-// standard Seabed pipeline):
+// five panels refreshed repeatedly against kSeabed with its result cache on
+// (SessionOptions::result_cache_bytes):
 //
 //   * round 0 is COLD — every panel misses, runs the full encrypted
 //     pipeline, and seeds the result + translated-plan caches;
 //   * rounds 1..N are WARM — repeats are answered from the client-side
 //     result cache without the untrusted server seeing a query;
-//   * an append then lands (invalidation), and one POST-APPEND round pays
-//     the miss again — on fresh data, with translation still memoized.
+//   * an append then publishes a new table version, and one POST-APPEND
+//     round pays the miss again — on fresh data, with translation still
+//     memoized.
 //
 // Reported per panel: cold latency, median warm latency, post-append
 // latency, and the cold/warm speedup. The warm path must be >= 5x cheaper
@@ -74,7 +75,7 @@ int Main() {
   session->UseCluster(&cluster);
 
   std::vector<Panel> panels = DashboardPanels(groups);
-  std::printf("=== Figure 11: dashboard refresh with the caching backend "
+  std::printf("=== Figure 11: dashboard refresh with the result cache "
               "(rows=%llu, %llu warm rounds) ===\n",
               static_cast<unsigned long long>(rows),
               static_cast<unsigned long long>(warm_rounds));
@@ -97,8 +98,9 @@ int Main() {
     }
   }
 
-  // The append invalidates every cached result touching the table; the next
-  // refresh pays one miss per panel, with translation still memoized.
+  // The append publishes a new table version, which no cached result names;
+  // the next refresh pays one miss per panel, with translation still
+  // memoized.
   SyntheticSpec batch_spec;
   batch_spec.rows = std::max<uint64_t>(1, rows / 100);
   batch_spec.seed = 4242;

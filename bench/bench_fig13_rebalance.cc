@@ -21,10 +21,10 @@
 // bench_fig12_probe: both sessions pay identical constants, and at smoke
 // scale those constants would swamp the scan-time ratio the gate measures.
 //
-// The default row count is below the other benches' 2M: the stream is
-// append-encrypted batch by batch and every rebalance re-encrypts the donor
-// remainder, so table construction — not the measured queries — dominates
-// the runtime at larger scales.
+// The stream is append-encrypted batch by batch and every rebalance
+// re-encrypts the donor remainder, so table construction — not the measured
+// queries — dominates the runtime: about 1.2 s per million rows and 180 MB
+// peak RSS per million rows (4-vCPU Xeon, RelWithDebInfo).
 //
 // Exit status is the CI gate: nonzero when either claim fails.
 #include <algorithm>
@@ -162,10 +162,17 @@ SessionOptions MakeOptions(BackendKind backend, uint64_t rows, bool rebalance,
 }
 
 int Main() {
-  // 50k-row floor as in fig12: below that the gate measures timer noise.
-  const uint64_t rows = std::max<uint64_t>(50000, EnvU64("SEABED_BENCH_ROWS", 400000));
-  const uint64_t repeat = std::max<uint64_t>(3, EnvU64("SEABED_BENCH_REPEAT", 5));
-  const size_t row_group_size = rows <= 100000 ? 256 : 1024;
+  // Floor of 4M rows: the unbalanced fleet's full scan must take
+  // milliseconds, or the 2x gate measures host-timer noise. At the old 50k
+  // floor the compared scans took 7-35 us and the gate read 0.2-1.7x; at 2M
+  // the unbalanced scan took ~0.6 ms; at 4M (hot shard 3.7M rows) it takes
+  // ~1.5-3 ms. The smoke run's 20k is raised too; the bench then takes ~5 s
+  // and ~730 MB.
+  const uint64_t rows = std::max<uint64_t>(4000000, EnvU64("SEABED_BENCH_ROWS", 4000000));
+  // Nine turns per fleet: the rebalanced scan takes ~0.4 ms, so one host
+  // hiccup moves a single sample by 2x; the median of nine rides it out.
+  const uint64_t repeat = std::max<uint64_t>(3, EnvU64("SEABED_BENCH_REPEAT", 9));
+  const size_t row_group_size = 1024;
   BenchRecorder recorder("fig13_rebalance");
 
   const auto data = MakeClusteredTable(rows);
@@ -237,19 +244,22 @@ int Main() {
     const char* label;
     Session* session;
   };
-  double medians[2] = {};
   const Fleet fleets[] = {{"unbalanced", &unbalanced}, {"rebalanced", &rebalanced}};
-  for (size_t f = 0; f < std::size(fleets); ++f) {
-    fleets[f].session->Execute(scan, nullptr);  // untimed warm-up
-    std::vector<double> seconds;
-    for (uint64_t r = 0; r < repeat; ++r) {
+  for (const Fleet& fleet : fleets) {
+    fleet.session->Execute(scan, nullptr);  // untimed warm-up (pool spin-up)
+  }
+  // The fleets take turns within each repetition, so host load that drifts
+  // during the runs lands on both alike.
+  std::vector<double> seconds[std::size(fleets)];
+  for (uint64_t r = 0; r < repeat; ++r) {
+    for (size_t f = 0; f < std::size(fleets); ++f) {
       QueryStats stats;
       const ResultSet result = fleets[f].session->Execute(scan, &stats);
       if (RowsKey(result) != reference) {
         std::printf("REGRESSION: %s full scan diverged from kPlain\n", fleets[f].label);
         gate_failed = true;
       }
-      seconds.push_back(stats.server_seconds);
+      seconds[f].push_back(stats.server_seconds);
       if (EnvU64("SEABED_BENCH_DEBUG", 0) != 0) {
         double max_shard = 0;
         for (const double s : stats.shard_server_seconds) {
@@ -265,8 +275,8 @@ int Main() {
       }
       recorder.AddStats(fleets[f].label, {{"skew", 10.0}}, stats);
     }
-    medians[f] = Median(std::move(seconds));
   }
+  const double medians[] = {Median(std::move(seconds[0])), Median(std::move(seconds[1]))};
   const double speedup = medians[1] > 0 ? medians[0] / medians[1] : 0;
   std::printf("full scan server_seconds: unbalanced=%.6f rebalanced=%.6f (%.1fx)\n",
               medians[0], medians[1], speedup);

@@ -1,5 +1,5 @@
-// "Figure 16" (beyond the paper): prepared statements and the shared
-// cross-session result cache.
+// "Figure 16" (beyond the paper): prepared statements, alone and beside the
+// engine's result cache.
 //
 // Phase A — the translate-once contract, serially on the Seabed backend. A
 // parameterized dashboard sweeps one shape across N moving literals:
@@ -13,11 +13,9 @@
 // ad-hoc retranslation at the median, and the prepared sweep's plan-cache
 // miss count must be exactly 1. A REGRESSION line + exit 1 otherwise.
 //
-// Phase B (informational) — the multiply with the shared cache. A fleet of
-// caching sessions refreshes the same parameterized dashboard; the four
-// configurations {private|shared result cache} x {ad-hoc|prepared} show the
-// two features compounding: the shared cache deduplicates results ACROSS
-// sessions, prepared statements deduplicate translation WITHIN each.
+// Phase B (informational) — a fleet of sessions, each with its own result
+// cache, refreshes the same parameterized dashboard, ad-hoc or prepared:
+// prepared statements deduplicate translation within each session.
 #include <algorithm>
 #include <cstdio>
 #include <map>
@@ -26,7 +24,6 @@
 #include <vector>
 
 #include "bench/harness.h"
-#include "src/seabed/result_cache.h"
 #include "src/seabed/translator.h"
 
 namespace seabed {
@@ -149,7 +146,7 @@ int Main() {
     regression = true;
   }
 
-  // --- Phase B: fleet refresh, shared cache x prepared -----------------------
+  // --- Phase B: fleet refresh, ad-hoc vs prepared ----------------------------
   const uint64_t fleet_size = 4;
   const uint64_t panels = 8;
   std::printf("\n--- fleet refresh: %llu sessions x %llu panels ---\n",
@@ -159,22 +156,14 @@ int Main() {
 
   struct Config {
     const char* label;
-    bool shared;
     bool prepare;
   };
-  const Config configs[] = {{"private/ad-hoc", false, false},
-                            {"private/prepared", false, true},
-                            {"shared/ad-hoc", true, false},
-                            {"shared/prepared", true, true}};
+  const Config configs[] = {{"private/ad-hoc", false}, {"private/prepared", true}};
   for (const Config& config : configs) {
-    auto shared_cache = std::make_shared<SharedResultCache>();
     std::vector<std::unique_ptr<Session>> fleet;
     for (uint64_t s = 0; s < fleet_size; ++s) {
-      SessionOptions so = harness.MakeSessionOptions(BackendKind::kCachingSeabed);
-      so.cache.inner = BackendKind::kSeabed;
-      if (config.shared) {
-        so.cache.shared = shared_cache;
-      }
+      SessionOptions so = harness.MakeSessionOptions(BackendKind::kSeabed);
+      so.result_cache_bytes = 64u << 20;
       auto member = std::make_unique<Session>(std::move(so));
       member->AttachPlanned(harness.plain_shared(), harness.schema(),
                             harness.seabed().plan("synthetic"));

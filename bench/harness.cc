@@ -111,14 +111,15 @@ std::unique_ptr<Session> SyntheticHarness::MakeShardedSession(size_t shards) {
   return session;
 }
 
-std::unique_ptr<Session> SyntheticHarness::MakeCachingSession(BackendKind inner, size_t shards) {
-  SessionOptions so = BackendOptions(BackendKind::kCachingSeabed, options_);
-  so.cache.inner = inner;
+std::unique_ptr<Session> SyntheticHarness::MakeCachingSession(BackendKind backend,
+                                                              size_t shards) {
+  SessionOptions so = BackendOptions(backend, options_);
+  so.result_cache_bytes = 64u << 20;
   so.shards = shards;
   auto session = std::make_unique<Session>(std::move(so));
-  // A private copy of the table: caching benches Append (invalidation
-  // measurements), which must not grow the plain_ instance the harness's
-  // other sessions share.
+  // A private copy of the table: caching benches Append (post-append
+  // misses), which must not grow the plain_ instance the harness's other
+  // sessions share.
   session->AttachPlanned(CloneTable(*plain_), schema_, seabed_.plan("synthetic"));
   return session;
 }

@@ -65,11 +65,10 @@ class SyntheticHarness {
   // real fan-out/merge path instead of the analytical cluster model.
   std::unique_ptr<Session> MakeShardedSession(size_t shards);
 
-  // Builds a kCachingSeabed session (result cache over `inner`, whose
-  // engine memoizes plans; `shards` applies when the inner backend is
-  // sharded) over the same synthetic table, reusing the seabed session's
-  // encryption plan.
-  std::unique_ptr<Session> MakeCachingSession(BackendKind inner, size_t shards = 1);
+  // Builds a `backend` session (kSeabed, or kShardedSeabed over `shards`)
+  // with a 64 MiB result cache over a private copy of the synthetic table,
+  // reusing the seabed session's encryption plan.
+  std::unique_ptr<Session> MakeCachingSession(BackendKind backend, size_t shards = 1);
 
   // Session options for `backend` matching this harness's planner/key setup
   // — for fronts that own their session stack but must stay comparable (the

@@ -213,10 +213,11 @@ struct QueryStats {
   uint64_t shards_routed = 0;
   uint64_t shards_total = 0;
 
-  // Caching detail (kCachingSeabed): whether this call was answered from the
-  // result cache, whether the inner backend reused a cached translated plan,
-  // and the time spent probing/updating the result cache. All zero/false on
-  // non-caching backends.
+  // Caching detail (the Seabed engine): whether this call was answered from
+  // the result cache (SessionOptions::result_cache_bytes), whether a miss
+  // reused a cached translated plan, and the time spent probing/updating the
+  // result cache. All zero/false on kPlain and kPaillier, and cache_hit and
+  // cache_lookup_seconds stay so while the result cache is off.
   bool cache_hit = false;
   bool plan_cache_hit = false;
   double cache_lookup_seconds = 0;

@@ -5,7 +5,6 @@
 #include "src/common/check.h"
 #include "src/common/stopwatch.h"
 #include "src/query/plain_executor.h"
-#include "src/seabed/caching_backend.h"
 #include "src/seabed/sharded_backend.h"
 
 namespace seabed {
@@ -20,8 +19,6 @@ const char* BackendKindName(BackendKind kind) {
       return "paillier";
     case BackendKind::kShardedSeabed:
       return "sharded-seabed";
-    case BackendKind::kCachingSeabed:
-      return "caching-seabed";
   }
   return "?";
 }
@@ -204,23 +201,19 @@ ResultSet PaillierBackend::Execute(const Query& query, QueryStats* stats) {
 
 std::unique_ptr<Executor> MakeExecutor(BackendKind kind, const ExecutionContext* context,
                                        const PaillierBackendOptions& paillier_options,
-                                       size_t shards, const CacheOptions& cache) {
+                                       size_t shards, size_t result_cache_bytes) {
   switch (kind) {
     case BackendKind::kPlain:
       return std::make_unique<PlainExecutorBackend>(context);
     case BackendKind::kSeabed:
       // The paper's single server: the sharded engine at one shard.
-      return std::make_unique<ShardedSeabedBackend>(context, 1, BackendKindName(kind));
+      return std::make_unique<ShardedSeabedBackend>(context, 1, BackendKindName(kind),
+                                                    result_cache_bytes);
     case BackendKind::kPaillier:
       return std::make_unique<PaillierBackend>(context, paillier_options);
     case BackendKind::kShardedSeabed:
-      return std::make_unique<ShardedSeabedBackend>(context, shards, BackendKindName(kind));
-    case BackendKind::kCachingSeabed: {
-      SEABED_CHECK_MSG(cache.inner != BackendKind::kCachingSeabed,
-                       "a caching backend cannot wrap another caching backend");
-      return std::make_unique<CachingSeabedBackend>(
-          cache, MakeExecutor(cache.inner, context, paillier_options, shards, cache));
-    }
+      return std::make_unique<ShardedSeabedBackend>(context, shards, BackendKindName(kind),
+                                                    result_cache_bytes);
   }
   SEABED_CHECK_MSG(false, "unknown backend kind");
   return nullptr;

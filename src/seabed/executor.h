@@ -27,8 +27,6 @@
 
 namespace seabed {
 
-class SharedResultCache;  // src/seabed/result_cache.h
-
 // kSeabed and kShardedSeabed are one engine (ShardedSeabedBackend,
 // src/seabed/sharded_backend.h): kSeabed is it at one shard, the paper's
 // single server; kShardedSeabed at SessionOptions::shards.
@@ -37,30 +35,9 @@ enum class BackendKind {
   kSeabed,         // ASHE/SPLASHE/DET/ORE encrypted pipeline on one server
   kPaillier,       // CryptDB/Monomi-style Paillier baseline
   kShardedSeabed,  // scale-out Seabed: N partitioned servers + merge layer
-  kCachingSeabed,  // client-side result cache over an inner backend
 };
 
 const char* BackendKindName(BackendKind kind);
-
-// Configuration of the kCachingSeabed decorator (see caching_backend.h): the
-// inner engine and the result cache. Translated plans are not configured
-// here; the engine memoizes them itself (Executor::plan_cache).
-struct CacheOptions {
-  // The backend that executes misses. Any kind except kCachingSeabed.
-  BackendKind inner = BackendKind::kSeabed;
-
-  // Result-cache budget: entries beyond either limit evict in LRU order.
-  // Ignored when `shared` is set — the shared cache carries its own limits.
-  size_t max_entries = 1024;
-  size_t max_bytes = 64u << 20;
-
-  // Cross-session result cache (src/seabed/result_cache.h). When set, this
-  // session's kCachingSeabed serves hits from — and inserts misses into —
-  // the given cache, so a fleet of sessions shares warm results; any
-  // session's Append invalidates the table for all of them. When null the
-  // backend creates a private cache from the limits above.
-  std::shared_ptr<SharedResultCache> shared;
-};
 
 // Skew-aware shard rebalancing (kShardedSeabed only; the other backends
 // ignore it). Appends place whole batches on one shard (append locality), so
@@ -129,8 +106,9 @@ struct ExecutionContext {
 };
 
 // Abstract execution backend. Implementations are stateless per call apart
-// from the prepared table state and the engine's thread-safe plan cache, so
-// concurrent Execute calls are safe (Session::ExecuteBatch relies on this).
+// from the prepared table state and the engine's thread-safe plan and result
+// caches, so concurrent Execute calls are safe (Session::ExecuteBatch relies
+// on this).
 class Executor {
  public:
   virtual ~Executor();
@@ -143,11 +121,11 @@ class Executor {
 
   // Appends `new_rows` to the attached table (paper Section 4.1): grows
   // `table.plain` and the backend's encrypted state. Only the Seabed engine
-  // (kSeabed, kShardedSeabed, and kCachingSeabed over either) may run Append
-  // while Execute calls are in flight: it builds the next table version off
-  // to the side and publishes it with an atomic swap. kPlain and kPaillier
-  // mutate in place, so their callers must order Append against Execute
-  // (seabed::Service refuses to serve them). When `stats`
+  // (kSeabed, kShardedSeabed) may run Append while Execute calls are in
+  // flight: it builds the next table version off to the side and publishes
+  // it with an atomic swap. kPlain and kPaillier mutate in place, so their
+  // callers must order Append against Execute (seabed::Service refuses to
+  // serve them). When `stats`
   // is non-null it receives the ingest job's simulated cluster cost — real
   // measured compute, synthetic parallel fabric, the same contract Execute
   // honors for queries (see src/engine/cluster.h).
@@ -171,17 +149,15 @@ class Executor {
                                     std::span<const Value> params, QueryStats* stats);
 
   // The translated-plan memo of the Seabed engine, which owns the only one
-  // and consults it on every ad-hoc and prepared call; the kCachingSeabed
-  // decorator forwards its inner engine's. Null on kPlain and kPaillier,
-  // which keep no translation to memoize. Read-only: exposed so tests,
-  // benches and seabed::Service can count hits and misses.
+  // and consults it on every ad-hoc and prepared call. Null on kPlain and
+  // kPaillier, which keep no translation to memoize. Read-only: exposed so
+  // tests, benches and seabed::Service can count hits and misses.
   virtual const TranslatedPlanCache* plan_cache() const { return nullptr; }
 
   // Snapshot of the cumulative skew-rebalancing detail (all zeros on
   // kSeabed, whose single shard never migrates rows), or nullopt on the
-  // non-Seabed backends (the caching decorator forwards to its inner
-  // backend). A copy taken under the backend's state lock, so it is safe to
-  // call while appends run.
+  // non-Seabed backends. A copy taken under the backend's state lock, so it
+  // is safe to call while appends run.
   virtual std::optional<RebalanceStats> rebalance_stats() const { return std::nullopt; }
 };
 
@@ -247,12 +223,12 @@ class PaillierBackend : public Executor {
 };
 
 // Builds the backend for `kind`. `paillier_options` configures kPaillier;
-// `shards` sets the fan-out width of kShardedSeabed; `cache` configures
-// kCachingSeabed, whose inner backend is built by recursing on
-// `cache.inner` (each knob is ignored by the kinds it does not concern).
+// `shards` sets the fan-out width of kShardedSeabed; `result_cache_bytes`
+// is the Seabed engine's result-cache budget (0: no result cache). Each knob
+// is ignored by the kinds it does not concern.
 std::unique_ptr<Executor> MakeExecutor(BackendKind kind, const ExecutionContext* context,
                                        const PaillierBackendOptions& paillier_options,
-                                       size_t shards, const CacheOptions& cache);
+                                       size_t shards, size_t result_cache_bytes);
 
 }  // namespace seabed
 

@@ -39,13 +39,10 @@ Service::Service(ServiceOptions options)
   SEABED_CHECK_MSG(options_.num_workers >= 1, "Service needs at least one worker");
   // Appends overlap in-flight queries, which only the Seabed engine's
   // published table versions make safe; kPlain and kPaillier mutate in place.
-  const SessionOptions& so = options_.session;
-  const BackendKind engine =
-      so.backend == BackendKind::kCachingSeabed ? so.cache.inner : so.backend;
-  SEABED_CHECK_MSG(engine == BackendKind::kSeabed || engine == BackendKind::kShardedSeabed,
-                   "Service serves only the Seabed engine (kSeabed, kShardedSeabed, or "
-                   "kCachingSeabed over one of them), not "
-                       << BackendKindName(engine));
+  const BackendKind backend = options_.session.backend;
+  SEABED_CHECK_MSG(backend == BackendKind::kSeabed || backend == BackendKind::kShardedSeabed,
+                   "Service serves only the Seabed engine (kSeabed or kShardedSeabed), not "
+                       << BackendKindName(backend));
   SEABED_CHECK_MSG(options_.max_batch >= 1, "max_batch must be >= 1");
   if (options_.autostart) {
     Start();

@@ -4,9 +4,8 @@
 // Every backend built so far executes on the caller's thread; the paper's
 // setting is the opposite — many analysts hammering one dashboard deployment
 // while new rows stream in (Section 4.1). Service puts a real serving layer
-// in front of one configured Session over the Seabed engine: kSeabed,
-// kShardedSeabed, or kCachingSeabed over one of them. Any other stack aborts
-// at construction — kPlain and kPaillier mutate their tables in place, so an
+// in front of one configured Session over the Seabed engine: kSeabed or
+// kShardedSeabed. Any other backend aborts at construction — kPlain and kPaillier mutate their tables in place, so an
 // append could tear a query running beside it.
 //
 //   ServiceOptions opts;
@@ -130,10 +129,10 @@ struct ServiceCounters {
 };
 
 struct ServiceOptions {
-  // The session stack the service owns and serves (shards, cache, probe —
+  // The session the service owns and serves (shards, result cache, probe —
   // everything Session supports), over the Seabed engine: `backend` must be
-  // kSeabed, kShardedSeabed, or kCachingSeabed with `cache.inner` one of
-  // those two.
+  // kSeabed or kShardedSeabed. The workers share the session's engine, and
+  // with it its plan and result caches.
   SessionOptions session;
 
   // Worker threads pumping the queue. More workers than cores is deliberate:
@@ -219,7 +218,7 @@ class Service {
   // --- observability ---------------------------------------------------------
   ServiceCounters counters() const;
   // The engine's plan cache: never null, because the constructor refuses
-  // every stack without the Seabed engine.
+  // every backend but the Seabed engine.
   const TranslatedPlanCache& plan_cache() const { return *session_.executor().plan_cache(); }
   size_t queue_depth() const { return queue_.size(); }
   // The owned session. Execute/Append through it directly only when no

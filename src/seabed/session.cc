@@ -50,7 +50,7 @@ Session::Session(SessionOptions options)
   context_.rebalance = options_.shards_rebalance;
   context_.placement = options_.shards_placement;
   executor_ = MakeExecutor(options_.backend, &context_, options_.paillier, options_.shards,
-                           options_.cache);
+                           options_.result_cache_bytes);
 }
 
 Session::~Session() = default;

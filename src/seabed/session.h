@@ -41,10 +41,10 @@ struct SessionOptions {
   PaillierBackendOptions paillier;
 
   // Two-round probe-and-prune execution (src/seabed/probe.h). On kSeabed
-  // and kShardedSeabed (standalone or as a caching inner) round one consults
-  // each shard's row-group summaries and round two scans only surviving
-  // groups; with two or more shards kForced also extends the shard-level
-  // count probe to every query. kPlain/kPaillier ignore it.
+  // and kShardedSeabed round one consults each shard's row-group summaries
+  // and round two scans only surviving groups; with two or more shards
+  // kForced also extends the shard-level count probe to every query.
+  // kPlain/kPaillier ignore it.
   ProbeOptions probe;
 
   // Fan-out width of the kShardedSeabed backend. Fixed at 1 for kSeabed —
@@ -68,10 +68,14 @@ struct SessionOptions {
   // ShardRebalanceOptions in executor.h and Session::rebalance_stats()).
   ShardRebalanceOptions shards_rebalance;
 
-  // kCachingSeabed configuration: the inner backend that executes misses
-  // (kSeabed or kShardedSeabed — `shards` applies to the latter) and the
-  // result-cache LRU budgets. Ignored by the other backends.
-  CacheOptions cache;
+  // Byte budget of the Seabed engine's result cache (kSeabed and
+  // kShardedSeabed; kPlain and kPaillier ignore it). 0, the default, keeps
+  // no result cache. Otherwise the engine memoizes each decrypted answer
+  // under the query's exact fingerprint and the ids of the table versions it
+  // read, so a repeat over unchanged tables skips the server, and an append
+  // makes the next run miss (stale entries age out under LRU). Entries cost
+  // their estimated client-memory bytes.
+  size_t result_cache_bytes = 0;
 
   // Master-secret seed for the per-column key derivation.
   uint64_t key_seed = 0xC0FFEE;
@@ -157,8 +161,8 @@ class Session {
   const Executor& executor() const { return *executor_; }
 
   // Snapshot of the cumulative shard-rebalancing moves: all zeros on
-  // kSeabed (one shard never migrates rows), nullopt on kPlain/kPaillier (or
-  // a caching wrapper over one of them). Safe to poll while appends run.
+  // kSeabed (one shard never migrates rows), nullopt on kPlain/kPaillier.
+  // Safe to poll while appends run.
   std::optional<RebalanceStats> rebalance_stats() const { return executor_->rebalance_stats(); }
 
   const AttachedTable& attached(const std::string& table) const { return catalog_.Get(table); }

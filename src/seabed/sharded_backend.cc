@@ -1,6 +1,7 @@
 #include "src/seabed/sharded_backend.h"
 
 #include <algorithm>
+#include <cstring>
 #include <numeric>
 #include <thread>
 #include <unordered_map>
@@ -23,6 +24,38 @@ namespace {
 constexpr uint64_t kShardIdStride = uint64_t{1} << 40;
 
 uint64_t ShardBaseId(size_t shard) { return 1 + shard * kShardIdStride; }
+
+// Entry budget of the translated-plan cache.
+constexpr size_t kPlanCacheEntries = 4096;
+
+// Rough client-memory footprint of a cached ResultSet, the result cache's
+// cost unit (value payloads plus per-row and per-string overheads).
+size_t EstimateResultBytes(const ResultSet& result) {
+  size_t bytes = sizeof(ResultSet);
+  for (const std::string& name : result.column_names) {
+    bytes += sizeof(std::string) + name.size();
+  }
+  for (const auto& row : result.rows) {
+    bytes += sizeof(row) + row.size() * sizeof(Value);
+    for (const Value& v : row) {
+      if (const auto* s = std::get_if<std::string>(&v)) {
+        bytes += s->size();
+      }
+    }
+  }
+  return bytes;
+}
+
+// Result-cache key: the ids of the pinned fact and right-side versions (0
+// without a join) as a fixed-width prefix, then the bound query's exact
+// fingerprint.
+std::string ResultCacheKey(const Query& query, uint64_t fact_version, uint64_t right_version) {
+  std::string key(2 * sizeof(uint64_t), '\0');
+  std::memcpy(key.data(), &fact_version, sizeof(uint64_t));
+  std::memcpy(key.data() + sizeof(uint64_t), &right_version, sizeof(uint64_t));
+  key += query.Fingerprint(Query::FingerprintMode::kExact);
+  return key;
+}
 
 // Copies the selected rows of a plaintext table into a fresh table (fresh
 // columns — sub-tables must not alias the attached table, whose columns the
@@ -132,11 +165,14 @@ EncryptedResponse MergeShardResponses(const ServerPlan& plan,
 }  // namespace
 
 ShardedSeabedBackend::ShardedSeabedBackend(const ExecutionContext* context, size_t shards,
-                                           const char* name)
+                                           const char* name, size_t result_cache_bytes)
     : context_(context),
       shards_(shards),
       name_(name),
       can_rebalance_(context->rebalance.enabled && shards >= 2),
+      plan_cache_(kPlanCacheEntries),
+      result_cache_(result_cache_bytes > 0 ? std::make_unique<ResultCache>(result_cache_bytes)
+                                           : nullptr),
       servers_(shards),
       pool_(std::min<size_t>(std::max<size_t>(shards, 1),
                              std::max<unsigned>(1, std::thread::hardware_concurrency()))) {
@@ -167,7 +203,8 @@ const ShardedTableVersion* ShardedSeabedBackend::CurrentVersion(const std::strin
 }
 
 void ShardedSeabedBackend::Publish(TableState& state,
-                                   std::shared_ptr<const ShardedTableVersion> next) {
+                                   std::shared_ptr<ShardedTableVersion> next) {
+  next->version_id = ++last_version_id_;
   std::shared_ptr<const ShardedTableVersion> old = std::move(state.owner);
   state.owner = std::move(next);
   state.current.store(state.owner.get(), std::memory_order_seq_cst);
@@ -774,16 +811,47 @@ ResultSet ShardedSeabedBackend::Run(const Query& shape, const PreparedQuery* pre
 
   // The join's right side comes from the right table's own pinned version:
   // its lone part at one shard, else the replica every shard joins against.
-  // Resolved before the plan-cache probe because decryption needs it on
-  // hits too.
+  // Resolved before the cache probes because decryption needs it on plan
+  // hits too, and its version id keys result hits.
   Stopwatch translate_sw;
+  const ShardedTableVersion* rver = nullptr;
   const EncryptedDatabase* right_db = nullptr;
   if (shape.join.has_value()) {
-    const ShardedTableVersion* rver = CurrentVersion(shape.join->right_table);
+    rver = CurrentVersion(shape.join->right_table);
     SEABED_CHECK_MSG(rver != nullptr,
                      "joined table " << shape.join->right_table << " not prepared");
     right_db = shards_ == 1 ? &rver->parts.front() : rver->replica.get();
     SEABED_CHECK(right_db != nullptr);
+  }
+
+  // The result cache, probed before the plan cache so a hit counts no plan
+  // lookup. Its key names the pinned versions, so an entry computed before
+  // an append can never answer a query pinned after it.
+  std::string result_key;
+  double lookup_seconds = 0;
+  std::optional<QueryStats> local_stats;
+  if (result_cache_ != nullptr) {
+    Stopwatch lookup_sw;
+    result_key = ResultCacheKey(query, ver->version_id, rver == nullptr ? 0 : rver->version_id);
+    const std::shared_ptr<const CachedResult> hit = result_cache_->Find(result_key);
+    if (hit != nullptr) {
+      if (stats != nullptr) {
+        *stats = QueryStats{};
+        stats->backend = name();
+        stats->cache_hit = true;
+        stats->result_rows = hit->rows.rows.size();
+        stats->result_bytes = hit->result_bytes;
+        stats->rows_touched = hit->rows_touched;
+        stats->prepared = prepared != nullptr;
+        stats->bind_seconds = bind_seconds;
+        stats->cache_lookup_seconds = lookup_sw.ElapsedSeconds();
+      }
+      return hit->rows;  // copied outside the cache lock
+    }
+    lookup_seconds = lookup_sw.ElapsedSeconds();
+    if (stats == nullptr) {
+      stats = &local_stats.emplace();  // the entry records the cold run's shape
+    }
   }
 
   // One translation serves every shard: the shards share the encryption
@@ -804,7 +872,7 @@ ResultSet ShardedSeabedBackend::Run(const Query& shape, const PreparedQuery* pre
     tq = std::make_shared<TranslatedQuery>(translator.Translate(shape, topts));
     plan_cache_.Insert(plan_key, tq);
   }
-  const double translate_seconds = translate_sw.ElapsedSeconds();
+  const double translate_seconds = translate_sw.ElapsedSeconds() - lookup_seconds;
 
   ResultSet result;
   if (prepared != nullptr) {
@@ -814,6 +882,15 @@ ResultSet ShardedSeabedBackend::Run(const Query& shape, const PreparedQuery* pre
     result = RunTranslated(query, fact, ver, right_db, bound_tq, stats);
   } else {
     result = RunTranslated(query, fact, ver, right_db, *tq, stats);
+  }
+  if (result_cache_ != nullptr) {
+    Stopwatch insert_sw;
+    auto entry = std::make_shared<CachedResult>(
+        CachedResult{result, stats->result_bytes, stats->rows_touched});
+    const size_t cost = result_key.size() + EstimateResultBytes(entry->rows);
+    result_cache_->Insert(std::move(result_key), std::move(entry), cost);
+    stats->cache_hit = false;
+    stats->cache_lookup_seconds = lookup_seconds + insert_sw.ElapsedSeconds();
   }
   if (stats != nullptr) {
     stats->translate_seconds = translate_seconds;

@@ -16,9 +16,9 @@
 // and a coordinator merge layer combines the partial encrypted responses
 // before a single client decryption:
 //
-//   * ASHE sums add ciphertext-side (group elements add, ID-list blobs
-//     concatenate — shards encrypt into disjoint identifier spaces, so the
-//     multiset union never collides);
+//   * ASHE sums add ciphertext-side (group elements add, ID-list sections
+//     concatenate with their group ordinals remapped — shards encrypt into
+//     disjoint identifier spaces, so the multiset union never collides);
 //   * COUNTs add;
 //   * GROUP BY groups union-merge by serialized key;
 //   * ORE MIN/MAX reduce by comparing the shards' winners.
@@ -42,8 +42,24 @@
 // QueryStats::row_groups_total/pruned aggregate the per-shard indexes.
 //
 // Ad-hoc and prepared queries share one sequence: pin the snapshot, resolve
-// the fact and right-side versions, translate or hit the engine's plan
-// cache, bind, run. An ad-hoc query is the zero-parameter case.
+// the fact and right-side versions, probe the result cache (when on),
+// translate or hit the engine's plan cache, bind, run. An ad-hoc query is
+// the zero-parameter case.
+//
+// Result cache (SessionOptions::result_cache_bytes; off at 0, the default):
+// the paper's dashboards (Section 5) re-issue the same aggregates on every
+// refresh. When on, the engine memoizes each decrypted answer under the
+// bound query's exact fingerprint (filters order-normalized) plus the
+// version_id of every table version the query pinned — the fact table and a
+// join's right side. A result therefore cannot outlive the versions it read:
+// an append publishes a new id, the next run misses (its plan still hits),
+// and the stale entry is never served again and ages out under the LRU byte
+// budget. Nothing is invalidated by hand, so no append/insert race exists.
+// The cache holds decrypted rows and so sits on the client side of the
+// trust boundary; a hit sends the untrusted server nothing. Hits report
+// QueryStats::cache_hit, the cold run's result shape and only
+// cache_lookup_seconds of latency. Service workers share their engine, and
+// with it this cache.
 //
 // Concurrency: tables live in immutable published versions
 // (ShardedTableVersion). Execute pins the current version through an epoch
@@ -82,6 +98,7 @@
 #include <vector>
 
 #include "src/common/epoch.h"
+#include "src/common/lru_cache.h"
 #include "src/common/thread_pool.h"
 #include "src/seabed/executor.h"
 #include "src/seabed/server.h"
@@ -91,9 +108,20 @@ namespace seabed {
 
 class ShardedSeabedBackend : public Executor {
  public:
+  // Memoized answer of the result cache: the decrypted rows plus the
+  // result-shape stats a hit replays.
+  struct CachedResult {
+    ResultSet rows;
+    size_t result_bytes = 0;
+    uint64_t rows_touched = 0;
+  };
+  using ResultCache = LruCache<CachedResult>;
+
   // `name` is what name() and QueryStats::backend report: MakeExecutor passes
   // the BackendKindName of kSeabed (one shard) or kShardedSeabed.
-  ShardedSeabedBackend(const ExecutionContext* context, size_t shards, const char* name);
+  // `result_cache_bytes` is the result cache's byte budget (0: none).
+  ShardedSeabedBackend(const ExecutionContext* context, size_t shards, const char* name,
+                       size_t result_cache_bytes);
 
   const char* name() const override { return name_; }
   void Prepare(AttachedTable& table) override;
@@ -106,6 +134,9 @@ class ShardedSeabedBackend : public Executor {
   std::optional<RebalanceStats> rebalance_stats() const override;
 
   size_t num_shards() const { return shards_; }
+  // The result cache, or null when its budget is 0. Read-only: exposed so
+  // tests and benches can count hits, entries and bytes.
+  const ResultCache* result_cache() const { return result_cache_.get(); }
   // The untrusted side of shard `shard`, exposed for tests.
   const Server& shard_server(size_t shard) const;
   // Shard `shard`'s partition of `table` in the currently published version
@@ -142,9 +173,10 @@ class ShardedSeabedBackend : public Executor {
   // Pinned pointer to `table`'s published version (caller holds a guard), or
   // null when the table was never prepared.
   const ShardedTableVersion* CurrentVersion(const std::string& table) const;
-  // Swaps `next` in as `state`'s published version and retires the old one
-  // into the epoch domain. Requires writer_mu_.
-  void Publish(TableState& state, std::shared_ptr<const ShardedTableVersion> next);
+  // Stamps `next` with a fresh version_id, swaps it in as `state`'s published
+  // version and retires the old one into the epoch domain. Requires
+  // writer_mu_.
+  void Publish(TableState& state, std::shared_ptr<ShardedTableVersion> next);
 
   // Guarantees `right`'s published version carries a join replica, building
   // one (as a new version) on first use. Once a version has a replica every
@@ -160,8 +192,8 @@ class ShardedSeabedBackend : public Executor {
                                         const Table* right) const;
 
   // The one query sequence behind Execute and ExecutePrepared: pin, resolve
-  // the fact and right-side versions, translate or hit the plan cache, bind,
-  // RunTranslated. `prepared` is null for an ad-hoc query (then `shape` is
+  // the fact and right-side versions, probe the result cache, translate or
+  // hit the plan cache, bind, RunTranslated. `prepared` is null for an ad-hoc query (then `shape` is
   // the query itself and `params` is empty).
   ResultSet Run(const Query& shape, const PreparedQuery* prepared,
                 std::span<const Value> params, QueryStats* stats);
@@ -205,12 +237,15 @@ class ShardedSeabedBackend : public Executor {
   // Whether Append can ever migrate rows (rebalancing enabled over two or
   // more shards). Only then does a version keep `plain_parts`.
   const bool can_rebalance_;
-  // The session's only translated-plan memo (default budget: 4096 plans),
+  // The session's only translated-plan memo (kPlanCacheEntries plans),
   // consulted by every ad-hoc and prepared call. Per engine, hence per
   // session: its keys leave out the session's keys and encryption plan.
   TranslatedPlanCache plan_cache_;
+  // Null when SessionOptions::result_cache_bytes is 0.
+  std::unique_ptr<ResultCache> result_cache_;
   std::vector<Server> servers_;
   RebalanceStats rebalance_stats_;  // guarded by writer_mu_
+  uint64_t last_version_id_ = 0;    // guarded by writer_mu_
 
   mutable EpochDomain epochs_;
   // Serializes Prepare/Append/EnsureReplica (version builders). Never held

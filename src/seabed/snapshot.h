@@ -99,6 +99,10 @@ struct ShardedTableVersion {
   // Next fresh ASHE id-space slot for rebalance re-encryption.
   uint64_t next_id_slot = 0;
 
+  // Engine-wide unique id, assigned at publish (never reused, unlike the
+  // address of a reclaimed version). The result cache keys on it.
+  uint64_t version_id = 0;
+
   // Placement of this table's rows, fixed at attach (src/seabed/placement.h).
   // Under kKeyRange, `boundaries[s]` is the closed clustering-key interval
   // shard s's partition holds IN THIS VERSION — routing consults the pinned

@@ -444,51 +444,4 @@ std::string PlanCacheKeySuffix(size_t expected_groups, const TranslatorOptions& 
   return key;
 }
 
-TranslatedPlanCache::TranslatedPlanCache(size_t max_entries)
-    : max_entries_(max_entries > 0 ? max_entries : 1) {}
-
-std::shared_ptr<const TranslatedQuery> TranslatedPlanCache::Find(const std::string& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = plans_.find(key);
-  if (it == plans_.end()) {
-    ++misses_;
-    return nullptr;
-  }
-  ++hits_;
-  lru_.splice(lru_.begin(), lru_, it->second.lru);  // touch
-  return it->second.plan;
-}
-
-void TranslatedPlanCache::Insert(const std::string& key,
-                                 std::shared_ptr<const TranslatedQuery> plan) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = plans_.find(key);
-  if (it != plans_.end()) {
-    it->second.plan = std::move(plan);  // refresh in place, keep its slot
-    lru_.splice(lru_.begin(), lru_, it->second.lru);
-    return;
-  }
-  while (plans_.size() >= max_entries_) {
-    plans_.erase(lru_.back());
-    lru_.pop_back();
-  }
-  lru_.push_front(key);
-  plans_.emplace(key, Entry{std::move(plan), lru_.begin()});
-}
-
-size_t TranslatedPlanCache::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return plans_.size();
-}
-
-uint64_t TranslatedPlanCache::hits() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return hits_;
-}
-
-uint64_t TranslatedPlanCache::misses() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return misses_;
-}
-
 }  // namespace seabed

@@ -10,15 +10,13 @@
 #define SEABED_SRC_SEABED_TRANSLATOR_H_
 
 #include <cstdint>
-#include <list>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "src/common/lru_cache.h"
 #include "src/crypto/ore.h"
 #include "src/encoding/id_list_codec.h"
 #include "src/query/query.h"
@@ -187,8 +185,9 @@ std::string PlanCacheKey(const Query& query, const TranslatorOptions& options);
 // per-execution fingerprint walk.
 std::string PlanCacheKeySuffix(size_t expected_groups, const TranslatorOptions& options);
 
-// Thread-safe memo of translated plans. The Seabed engine owns a session's
-// only one (Executor::plan_cache), which Session::ExecuteBatch and Service
+// Thread-safe memo of translated plans, one cost unit per plan (an entry
+// budget). The Seabed engine owns a session's only one
+// (Executor::plan_cache), which Session::ExecuteBatch and Service
 // workers consult concurrently. Entries are immutable shared_ptrs, so a hit
 // outlives its own eviction. Keys leave out the session's keys and
 // encryption plan, so one cache never serves two sessions. Bounded, with
@@ -197,31 +196,7 @@ std::string PlanCacheKeySuffix(size_t expected_groups, const TranslatorOptions& 
 // without limit — eviction must follow recency, or that churn flushes the
 // hot shape-keyed entries prepared statements live on (FIFO would drop them
 // in insertion order regardless of use).
-class TranslatedPlanCache {
- public:
-  explicit TranslatedPlanCache(size_t max_entries = 4096);
-
-  // Returns the cached plan, or nullptr (counting a hit / miss).
-  std::shared_ptr<const TranslatedQuery> Find(const std::string& key);
-  void Insert(const std::string& key, std::shared_ptr<const TranslatedQuery> plan);
-
-  size_t size() const;
-  uint64_t hits() const;
-  uint64_t misses() const;
-
- private:
-  struct Entry {
-    std::shared_ptr<const TranslatedQuery> plan;
-    std::list<std::string>::iterator lru;
-  };
-
-  const size_t max_entries_;
-  mutable std::mutex mu_;
-  std::map<std::string, Entry> plans_;
-  std::list<std::string> lru_;  // most recently used at the front
-  uint64_t hits_ = 0;
-  uint64_t misses_ = 0;
-};
+using TranslatedPlanCache = LruCache<TranslatedQuery>;
 
 }  // namespace seabed
 

@@ -8,11 +8,11 @@
 //   kSeabed           (ASHE/SPLASHE/DET/ORE pipeline),
 //   kPaillier         (CryptDB/Monomi baseline; variance is out of its model),
 //   kShardedSeabed    at shard counts {1, 2, 4, 7},
-//   kCachingSeabed    over both a single-server and a sharded (3) inner.
+//   result cache on   kSeabed, and kShardedSeabed at 3 shards.
 //
 // PLACEMENT AXIS: placement is fixed at Attach, so the policies rotate as
 // extra sessions rather than per trial: the sharded fleets at 4 and 7 shards
-// and a caching-over-sharded stack run AGAIN under kKeyRange (clustering on
+// and the 3-shard result-cache arm run AGAIN under kKeyRange (clustering on
 // the fact table's `ts`; the dimension table keeps hash placement — mixed
 // catalogs are the common case). Every trial's ts filters route those
 // sessions to shard subsets, and the same rows must come back regardless of
@@ -23,8 +23,8 @@
 // must be indistinguishable from sequential execution (merge-at-coordinator
 // equivalence, in the distributed-systems framing).
 //
-// The caching backends run every query TWICE — cold then warm — and both
-// answers must match kPlain; random appends to the fact and dimension
+// The result-cache arms run every query TWICE — cold then warm — and both
+// answers must match kPlain, in order; random appends to the fact and dimension
 // tables are interleaved between trials (every backend gets the same
 // batch), so a cache serving a stale pre-append result, or a plan cache
 // serving a mistranslation, shows up as a row mismatch here.
@@ -38,9 +38,9 @@
 // PROBE AXIS: the Seabed-pipeline backends additionally replay every query
 // at probe mode off, auto and forced (src/seabed/probe.h) — the two-round
 // row-group pruning (kSeabed) and the forced shard-level probe
-// (kShardedSeabed) must be answer-invariant. The caching backends instead
+// (kShardedSeabed) must be answer-invariant. The result-cache arms instead
 // rotate the probe mode per trial BEFORE the cold run (a warm repeat is
-// answered client-side and never reaches the inner backend). Execute gives
+// answered client-side and never reaches the scan). Execute gives
 // appends no seam between round one and round two of a single call, so the
 // adversarial interleaving is append-between-trials: summaries built by
 // pre-append probes must not leak into post-append answers.
@@ -223,7 +223,7 @@ TEST_P(FuzzEquivalenceTest, RandomQueriesAgreeAcrossAllBackends) {
     std::unique_ptr<Session> session;
     bool supports_variance = true;
     bool honors_translator_options = false;
-    bool caching = false;       // run twice: cold + warm must both match kPlain
+    bool caching = false;       // result cache on: cold + warm must both match kPlain
     bool probe_axis = false;    // replay at probe off/auto/forced
   };
   std::vector<Backend> backends;
@@ -250,24 +250,22 @@ TEST_P(FuzzEquivalenceTest, RandomQueriesAgreeAcrossAllBackends) {
            true, true, false, true});
     }
   }
-  {
-    SessionOptions copts = options_for(BackendKind::kCachingSeabed, 1);
-    copts.cache.inner = BackendKind::kSeabed;
-    backends.push_back(
-        {"caching", std::make_unique<Session>(std::move(copts)), true, true, true, true});
-  }
-  {
-    SessionOptions copts = options_for(BackendKind::kCachingSeabed, 3);
-    copts.cache.inner = BackendKind::kShardedSeabed;
-    backends.push_back(
-        {"caching-sharded-3", std::make_unique<Session>(std::move(copts)), true, true, true, true});
-  }
-  {
-    SessionOptions copts = key_range(options_for(BackendKind::kCachingSeabed, 3));
-    copts.cache.inner = BackendKind::kShardedSeabed;
-    backends.push_back({"caching-sharded-3-keyrange", std::make_unique<Session>(std::move(copts)),
-                        true, true, true, true});
-  }
+  auto with_result_cache = [](SessionOptions options) {
+    options.result_cache_bytes = 16u << 20;
+    return options;
+  };
+  backends.push_back(
+      {"seabed-resultcache",
+       std::make_unique<Session>(with_result_cache(options_for(BackendKind::kSeabed, 1))), true,
+       true, true, true});
+  backends.push_back(
+      {"sharded-3-resultcache",
+       std::make_unique<Session>(with_result_cache(options_for(BackendKind::kShardedSeabed, 3))),
+       true, true, true, true});
+  backends.push_back({"sharded-3-keyrange-resultcache",
+                      std::make_unique<Session>(with_result_cache(
+                          key_range(options_for(BackendKind::kShardedSeabed, 3)))),
+                      true, true, true, true});
   for (Backend& b : backends) {
     // Every session owns its tables: the append rounds below grow them.
     b.session->Attach(CloneTable(*table), schema, samples);
@@ -322,7 +320,7 @@ TEST_P(FuzzEquivalenceTest, RandomQueriesAgreeAcrossAllBackends) {
     // survives its table's growth (stale ciphertext) diverges from kPlain
     // on the very next trial, which re-issues earlier query shapes by
     // construction (same rng stream prefix reuse is not needed: repeated
-    // shapes occur naturally and the caching backends re-run EVERY query
+    // shapes occur naturally and the result-cache arms re-run EVERY query
     // warm below).
     if (trial == 5 || trial == 12) {
       const auto batch = make_fact_batch(40 + rng.Below(60));
@@ -485,8 +483,8 @@ TEST_P(FuzzEquivalenceTest, RandomQueriesAgreeAcrossAllBackends) {
         continue;
       }
       if (backend.probe_axis && backend.caching) {
-        // A warm repeat never reaches the inner backend, so the probe mode
-        // rotates per trial and applies to the cold run.
+        // A warm repeat never reaches the scan, so the probe mode rotates
+        // per trial and applies to the cold run.
         backend.session->set_probe_options(probe_options(kProbeModes[trial % 3]));
       }
       QueryStats cold;
@@ -696,9 +694,9 @@ INSTANTIATE_TEST_SUITE_P(Seeds, SkewedAppendFuzzTest, ::testing::Values(7, 19, 4
 // first. The flip side is the observable claim — appends never block
 // queries — asserted via the exec spans: across the run, some append's
 // wall-time span must overlap a concurrently executing query group's span.
-// The backend stack rotates
-// with the seed (single-server, sharded fan-out, caching over sharded), so
-// the axis covers every snapshot read path.
+// The backend stack rotates with the seed (single-server, sharded fan-out,
+// sharded with the result cache on), so the axis covers every snapshot read
+// path.
 class ServiceConcurrencyFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(ServiceConcurrencyFuzzTest, ThreadedServiceStreamEqualsSequentialPlain) {
@@ -737,8 +735,8 @@ TEST_P(ServiceConcurrencyFuzzTest, ThreadedServiceStreamEqualsSequentialPlain) {
       service_options.session.backend = BackendKind::kShardedSeabed;
       break;
     default:
-      service_options.session.backend = BackendKind::kCachingSeabed;
-      service_options.session.cache.inner = BackendKind::kShardedSeabed;
+      service_options.session.backend = BackendKind::kShardedSeabed;
+      service_options.session.result_cache_bytes = 16u << 20;
       break;
   }
   service_options.num_workers = 4;
@@ -756,7 +754,8 @@ TEST_P(ServiceConcurrencyFuzzTest, ThreadedServiceStreamEqualsSequentialPlain) {
   Service service(service_options);
   service.Attach(CloneTable(*base), schema, samples);
   SCOPED_TRACE("seed=" + std::to_string(seed) + " backend=" +
-               BackendKindName(service_options.session.backend));
+               BackendKindName(service_options.session.backend) +
+               (service_options.session.result_cache_bytes > 0 ? "+resultcache" : ""));
 
   auto random_query = [&]() {
     Query q;

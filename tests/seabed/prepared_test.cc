@@ -176,11 +176,9 @@ TEST(PreparedDeathTest, BindWithWrongArityFails) {
 
 class PreparedBackendTest : public ::testing::Test {
  protected:
-  void Build(BackendKind backend) {
+  void Build(BackendKind backend, size_t result_cache_bytes = 0) {
     SessionOptions options = TestOptions(backend);
-    if (backend == BackendKind::kCachingSeabed) {
-      options.cache.inner = BackendKind::kSeabed;
-    }
+    options.result_cache_bytes = result_cache_bytes;
     session_ = std::make_unique<Session>(options);
     plain_ = std::make_unique<Session>(TestOptions(BackendKind::kPlain));
     const auto fact = MakeFactTable(600, 99);
@@ -230,9 +228,24 @@ TEST_F(PreparedBackendTest, ShardedSeabed) {
   RunMatrix();
 }
 
-TEST_F(PreparedBackendTest, CachingSeabed) {
-  Build(BackendKind::kCachingSeabed);
+TEST_F(PreparedBackendTest, SeabedWithResultCache) {
+  Build(BackendKind::kSeabed, 16u << 20);
   RunMatrix();
+
+  // The result cache keys on the BOUND query, so a prepared call and an
+  // ad-hoc call with the same literals share one entry.
+  const Query shape = TwoSlotShape();
+  const std::vector<Value> params = {std::string("s4"), int64_t{60}};
+  const PreparedQuery prepared = session_->Prepare(shape);
+  QueryStats adhoc;
+  session_->Execute(shape.BindParams(params), &adhoc);
+  EXPECT_FALSE(adhoc.cache_hit);
+  QueryStats hit;
+  EXPECT_EQ(RowsAsStrings(session_->Execute(prepared, params, &hit)),
+            RowsAsStrings(plain_->Execute(shape.BindParams(params))));
+  EXPECT_TRUE(hit.cache_hit);
+  EXPECT_TRUE(hit.prepared);
+  EXPECT_FALSE(hit.plan_cache_hit);  // a result hit never reaches the plan cache
 }
 
 TEST_F(PreparedBackendTest, SplasheSlotsFallBackAndStayCorrect) {

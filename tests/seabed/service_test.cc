@@ -238,19 +238,40 @@ TEST_F(ServiceTest, ShapeBatchingCoalescesIdenticalQueriesAndTranslation) {
   EXPECT_EQ(service->plan_cache().misses(), 1u);
 }
 
+// A Service-facing engine configuration: the backend and its result-cache
+// budget (0: off).
+struct ServiceStack {
+  BackendKind backend;
+  size_t result_cache_bytes;
+};
+
+ServiceOptions TestServiceOptions(const ServiceStack& stack) {
+  ServiceOptions options = TestServiceOptions(stack.backend);
+  options.session.result_cache_bytes = stack.result_cache_bytes;
+  return options;
+}
+
+std::string StackName(const ServiceStack& stack) {
+  std::string name = BackendKindName(stack.backend);
+  name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+  return stack.result_cache_bytes > 0 ? name + "_resultcache" : name;
+}
+
+constexpr ServiceStack kServiceStacks[] = {{BackendKind::kSeabed, 0},
+                                           {BackendKind::kShardedSeabed, 0},
+                                           {BackendKind::kShardedSeabed, 16u << 20}};
+
 // Service::plan_cache() is the engine's own cache, so it counts the same
-// translations on every stack the service serves — including kCachingSeabed,
-// where the decorator's result cache sits in front of the engine.
+// translations on every configuration the service serves — including one
+// whose result cache answers repeats in front of the plan cache.
 TEST_F(ServiceTest, PlanCacheCountsPreparedTranslationsOnEverySeabedStack) {
   Query shape;
   shape.table = "synthetic";
   shape.Sum("value");
   shape.WhereParam("sel", CmpOp::kLt);
-  for (const BackendKind backend :
-       {BackendKind::kSeabed, BackendKind::kShardedSeabed, BackendKind::kCachingSeabed}) {
-    ServiceOptions options = TestServiceOptions(backend);
-    options.session.cache.inner = BackendKind::kSeabed;
-    std::unique_ptr<Service> service = MakeService(std::move(options));
+  for (const ServiceStack& stack : kServiceStacks) {
+    SCOPED_TRACE(StackName(stack));
+    std::unique_ptr<Service> service = MakeService(TestServiceOptions(stack));
     const PreparedQuery prepared = service->Prepare(shape);
     // One submission at a time: each runs alone, so the first translates
     // and the other two hit, with no concurrent miss to race it.
@@ -259,11 +280,11 @@ TEST_F(ServiceTest, PlanCacheCountsPreparedTranslationsOnEverySeabedStack) {
       ServiceResult r = service->SubmitPrepared(prepared, params).get();
       ASSERT_TRUE(r.ok) << r.error;
       EXPECT_EQ(RowsAsStrings(r.rows), RowsAsStrings(plain_.Execute(shape.BindParams(params))))
-          << BackendKindName(backend) << " sel<" << bound;
+          << "sel<" << bound;
     }
     service->Shutdown();
-    EXPECT_EQ(service->plan_cache().misses(), 1u) << BackendKindName(backend);
-    EXPECT_EQ(service->plan_cache().hits(), 2u) << BackendKindName(backend);
+    EXPECT_EQ(service->plan_cache().misses(), 1u);
+    EXPECT_EQ(service->plan_cache().hits(), 2u);
   }
 }
 
@@ -375,11 +396,9 @@ TEST_F(ServiceTest, DeadlineRecheckedAtDispatch) {
 // modeled latency is mid-execution when an append dispatches, and the append
 // completes INSIDE the query's span — on every stack Service accepts.
 TEST_F(ServiceTest, AppendOverlapsPacedQueries) {
-  for (const BackendKind backend :
-       {BackendKind::kSeabed, BackendKind::kShardedSeabed, BackendKind::kCachingSeabed}) {
-    SCOPED_TRACE(BackendKindName(backend));
-    ServiceOptions options = TestServiceOptions(backend);
-    options.session.cache.inner = BackendKind::kShardedSeabed;
+  for (const ServiceStack& stack : kServiceStacks) {
+    SCOPED_TRACE(StackName(stack));
+    ServiceOptions options = TestServiceOptions(stack);
     options.session.cluster.job_overhead_seconds = 0.2;  // modeled, slept out
     options.pace_modeled_latency = true;
     options.num_workers = 2;
@@ -484,9 +503,9 @@ TEST_F(ServiceTest, InteractiveLaneDispatchesBeforeBatchLane) {
   EXPECT_LT(probe_r.stats.dispatch_seq, slow2_r.stats.dispatch_seq);
 }
 
-TEST_F(ServiceTest, CachingBackendInvalidatesThroughServiceAppends) {
-  ServiceOptions options = TestServiceOptions(BackendKind::kCachingSeabed);
-  std::unique_ptr<Service> service = MakeService(std::move(options));
+TEST_F(ServiceTest, ResultCacheMissesAfterServiceAppends) {
+  std::unique_ptr<Service> service =
+      MakeService(TestServiceOptions(ServiceStack{BackendKind::kSeabed, 16u << 20}));
   const Query q = SyntheticSumQuery(100);
 
   ServiceResult cold = service->Submit(q).get();
@@ -503,7 +522,8 @@ TEST_F(ServiceTest, CachingBackendInvalidatesThroughServiceAppends) {
 
   ServiceResult fresh = service->Submit(q).get();
   ASSERT_TRUE(fresh.ok);
-  EXPECT_FALSE(fresh.stats.query.cache_hit);  // the append invalidated it
+  EXPECT_FALSE(fresh.stats.query.cache_hit);  // the append published a new version
+  EXPECT_TRUE(fresh.stats.query.plan_cache_hit);
   EXPECT_EQ(RowsAsStrings(fresh.rows), RowsAsStrings(plain_.Execute(q)));
   service->Shutdown();
 }
@@ -511,7 +531,7 @@ TEST_F(ServiceTest, CachingBackendInvalidatesThroughServiceAppends) {
 // The TSan centerpiece: many submitter threads, every backend stack, results
 // must match a sequential plain session query-for-query.
 class ServiceConcurrencyTest : public ServiceTest,
-                               public ::testing::WithParamInterface<BackendKind> {};
+                               public ::testing::WithParamInterface<ServiceStack> {};
 
 TEST_P(ServiceConcurrencyTest, ConcurrentSubmittersMatchPlainReference) {
   ServiceOptions options = TestServiceOptions(GetParam());
@@ -637,35 +657,27 @@ TEST_P(ServiceConcurrencyTest, SubmittersRacingAnAppenderMatchPlainAtSomePrefix)
   EXPECT_EQ(c.executed, static_cast<uint64_t>(answered.load()) + pool.size());
 }
 
-INSTANTIATE_TEST_SUITE_P(Backends, ServiceConcurrencyTest,
-                         ::testing::Values(BackendKind::kSeabed, BackendKind::kShardedSeabed,
-                                           BackendKind::kCachingSeabed),
-                         [](const ::testing::TestParamInfo<BackendKind>& info) {
-                           std::string name = BackendKindName(info.param);
-                           name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
-                           return name;
+INSTANTIATE_TEST_SUITE_P(Backends, ServiceConcurrencyTest, ::testing::ValuesIn(kServiceStacks),
+                         [](const ::testing::TestParamInfo<ServiceStack>& info) {
+                           return StackName(info.param);
                          });
 
 // Appends overlap in-flight queries, which only the Seabed engine's
-// published versions make safe, so Service refuses every other stack at
-// construction with a message.
+// published versions make safe, so Service refuses every other backend at
+// construction with a message — with or without a result-cache budget,
+// which kPlain and kPaillier ignore.
 TEST(ServiceDeathTest, RefusesStacksOtherThanTheSeabedEngine) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  struct Stack {
-    BackendKind backend;
-    BackendKind inner;
-    const char* engine;
-  };
-  for (const Stack& stack : {Stack{BackendKind::kPlain, BackendKind::kSeabed, "plain"},
-                             Stack{BackendKind::kPaillier, BackendKind::kSeabed, "paillier"},
-                             Stack{BackendKind::kCachingSeabed, BackendKind::kPlain, "plain"}}) {
+  for (const ServiceStack& stack :
+       {ServiceStack{BackendKind::kPlain, 0}, ServiceStack{BackendKind::kPaillier, 0},
+        ServiceStack{BackendKind::kPlain, 16u << 20}}) {
     SCOPED_TRACE(BackendKindName(stack.backend));
-    ServiceOptions options = TestServiceOptions(stack.backend);
-    options.session.cache.inner = stack.inner;
+    ServiceOptions options = TestServiceOptions(stack);
     options.session.paillier.modulus_bits = 256;
     options.autostart = false;
     EXPECT_DEATH({ Service service(options); },
-                 std::string("Service serves only the Seabed engine.*not ") + stack.engine);
+                 std::string("Service serves only the Seabed engine.*not ") +
+                     BackendKindName(stack.backend));
   }
 }
 

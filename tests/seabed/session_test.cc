@@ -301,8 +301,8 @@ TEST_F(SessionJoinTest, JoinQueriesAgreeAcrossBackends) {
 }
 
 TEST_F(SessionJoinTest, CacheHitsNeverProbe) {
-  SessionOptions options = JoinOptions(BackendKind::kCachingSeabed);
-  options.cache.inner = BackendKind::kSeabed;
+  SessionOptions options = JoinOptions(BackendKind::kSeabed);
+  options.result_cache_bytes = 16u << 20;
   options.probe.mode = ProbeMode::kForced;
   options.probe.row_group_size = 256;
   Session caching(std::move(options));
@@ -313,7 +313,7 @@ TEST_F(SessionJoinTest, CacheHitsNeverProbe) {
   QueryStats cold;
   const auto cold_rows = RowsAsStrings(caching.Execute(q, &cold));
   EXPECT_FALSE(cold.cache_hit);
-  EXPECT_TRUE(cold.probe_used);  // forced mode reaches the inner backend
+  EXPECT_TRUE(cold.probe_used);  // forced mode reaches the scan on a miss
 
   QueryStats warm;
   EXPECT_EQ(RowsAsStrings(caching.Execute(q, &warm)), cold_rows);
