@@ -156,9 +156,17 @@ SessionOptions MakeOptions(BackendKind backend, uint64_t rows,
 }
 
 int Main() {
-  // 50k-row floor as in fig12/fig13: below that the gate measures timer noise.
-  const uint64_t rows = std::max<uint64_t>(50000, EnvU64("SEABED_BENCH_ROWS", 400000));
-  const uint64_t repeat = std::max<uint64_t>(3, EnvU64("SEABED_BENCH_REPEAT", 5));
+  // Floor of 3M rows: the compared slice-1pct fleet computes must take about
+  // a millisecond or more, or the 3x gate measures host-timer noise. At the
+  // old 50k floor the hash fleet's took ~150 us and the gate read 0.94-1.46x
+  // in 6 of 16 runs. At 3M the hash fleet takes ~8 ms and the key-range
+  // fleet ~1 ms (4-vCPU Xeon, RelWithDebInfo); the whole bench takes ~1.5 s
+  // and ~290 MB.
+  const uint64_t rows = std::max<uint64_t>(3000000, EnvU64("SEABED_BENCH_ROWS", 3000000));
+  // 9 repetitions (was 5), as in fig13: a repetition costs ~10 ms here, and
+  // at 5 the ~1 ms full-scan medians read 1.58x against their 1.5x bound in
+  // 1 of 4 runs.
+  const uint64_t repeat = std::max<uint64_t>(3, EnvU64("SEABED_BENCH_REPEAT", 9));
   const size_t row_group_size = rows <= 100000 ? 256 : 1024;
   BenchRecorder recorder("fig18_placement");
 
@@ -209,10 +217,14 @@ int Main() {
 
     double medians[2] = {};
     uint64_t routed[2] = {};
-    for (size_t f = 0; f < std::size(fleets); ++f) {
-      fleets[f].session->Execute(q, nullptr);  // untimed warm-up
-      std::vector<double> seconds;
-      for (uint64_t r = 0; r < repeat; ++r) {
+    std::vector<double> seconds[2];
+    for (const Fleet& fleet : fleets) {
+      fleet.session->Execute(q, nullptr);  // untimed warm-up
+    }
+    // The fleets take turns within each repetition, so host load that
+    // drifts during the runs lands on both alike.
+    for (uint64_t r = 0; r < repeat; ++r) {
+      for (size_t f = 0; f < std::size(fleets); ++f) {
         QueryStats stats;
         const ResultSet result = fleets[f].session->Execute(q, &stats);
         if (RowsKey(result) != reference) {
@@ -220,7 +232,7 @@ int Main() {
                       slice.label);
           gate_failed = true;
         }
-        seconds.push_back(FleetSeconds(stats));
+        seconds[f].push_back(FleetSeconds(stats));
         routed[f] = stats.shards_routed;
         if (stats.shards_total != kShards) {
           std::printf("REGRESSION: %s %s reported shards_total=%llu (fleet is %zu)\n",
@@ -243,7 +255,9 @@ int Main() {
                            {"shards_routed", static_cast<double>(stats.shards_routed)}},
                           stats);
       }
-      medians[f] = Median(std::move(seconds));
+    }
+    for (size_t f = 0; f < std::size(fleets); ++f) {
+      medians[f] = Median(std::move(seconds[f]));
     }
     const double speedup = medians[1] > 0 ? medians[0] / medians[1] : 0;
     std::printf("%s fleet compute: hash=%.6f keyrange=%.6f (%.1fx, routed %llu/%zu)\n",
@@ -262,10 +276,12 @@ int Main() {
   scan.Sum("value", "total").Count("n");
   const std::vector<std::string> scan_reference = RowsKey(plain.Execute(scan, nullptr));
   double scan_medians[2] = {};
-  for (size_t f = 0; f < std::size(fleets); ++f) {
-    fleets[f].session->Execute(scan, nullptr);  // untimed warm-up
-    std::vector<double> seconds;
-    for (uint64_t r = 0; r < repeat; ++r) {
+  std::vector<double> scan_seconds[2];
+  for (const Fleet& fleet : fleets) {
+    fleet.session->Execute(scan, nullptr);  // untimed warm-up
+  }
+  for (uint64_t r = 0; r < repeat; ++r) {
+    for (size_t f = 0; f < std::size(fleets); ++f) {
       QueryStats stats;
       const ResultSet result = fleets[f].session->Execute(scan, &stats);
       if (RowsKey(result) != scan_reference) {
@@ -279,14 +295,16 @@ int Main() {
                     static_cast<unsigned long long>(stats.shards_total));
         gate_failed = true;
       }
-      seconds.push_back(FleetSeconds(stats));
+      scan_seconds[f].push_back(FleetSeconds(stats));
       recorder.AddStats(fleets[f].label,
                         {{"selectivity", 1.0},
                          {"fleet_seconds", FleetSeconds(stats)},
                          {"shards_routed", static_cast<double>(stats.shards_routed)}},
                         stats);
     }
-    scan_medians[f] = Median(std::move(seconds));
+  }
+  for (size_t f = 0; f < std::size(fleets); ++f) {
+    scan_medians[f] = Median(std::move(scan_seconds[f]));
   }
   std::printf("full scan fleet compute: hash=%.6f keyrange=%.6f (%.2fx)\n",
               scan_medians[0], scan_medians[1],

@@ -83,8 +83,14 @@ if [[ "$SMOKE_BENCH" == "1" ]]; then
                bench_fig14_service bench_fig15_snapshot bench_fig16_prepared \
                bench_fig17_kernels bench_fig18_placement; do
     echo "--- smoke: $bench (rows=$SMOKE_ROWS) ---"
-    SEABED_BENCH_ROWS="$SMOKE_ROWS" SEABED_BENCH_JSON_DIR="$JSON_DIR" \
-      "$BUILD_DIR/bench/$bench" > /dev/null
+    # Each bench's own report goes to $JSON_DIR/<bench>.log; a failing gate
+    # prints its tail, so the stage that failed names itself.
+    if ! SEABED_BENCH_ROWS="$SMOKE_ROWS" SEABED_BENCH_JSON_DIR="$JSON_DIR" \
+      "$BUILD_DIR/bench/$bench" > "$JSON_DIR/$bench.log"; then
+      echo "ERROR: $bench failed; the end of $JSON_DIR/$bench.log:" >&2
+      tail -n 20 "$JSON_DIR/$bench.log" >&2
+      exit 1
+    fi
   done
   # Refuse to archive unattributable records: every BENCH_*.json must carry
   # the provenance keys the cross-commit trajectory relies on.

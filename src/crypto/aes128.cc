@@ -118,40 +118,31 @@ void Aes128::EncryptBlockPortable(const uint8_t in[16], uint8_t out[16]) const {
 }
 
 #if defined(SEABED_HAS_AESNI_BUILD)
-void Aes128::EncryptBlockHardware(const uint8_t in[16], uint8_t out[16]) const {
-  __m128i block = _mm_loadu_si128(reinterpret_cast<const __m128i*>(in));
-  const __m128i* rk = reinterpret_cast<const __m128i*>(round_keys_.data());
-  block = _mm_xor_si128(block, _mm_loadu_si128(rk));
-  for (int round = 1; round < 10; ++round) {
-    block = _mm_aesenc_si128(block, _mm_loadu_si128(rk + round));
-  }
-  block = _mm_aesenclast_si128(block, _mm_loadu_si128(rk + 10));
-  _mm_storeu_si128(reinterpret_cast<__m128i*>(out), block);
-}
+namespace {
 
-void Aes128::EncryptCountersHardware(const uint64_t* counters, size_t n,
-                                     uint64_t* out_words) const {
+// The one AES-NI pipeline: encrypts the plaintext block load(k) into
+// out + 16k for k < n, keeping 8 independent blocks in flight. Callers differ
+// only in how they load a block.
+template <typename Load>
+void EncryptPipelined(const uint8_t* round_keys, size_t n, Load load, uint8_t* out) {
   constexpr size_t kLanes = 8;
-  const __m128i* schedule = reinterpret_cast<const __m128i*>(round_keys_.data());
+  const __m128i* schedule = reinterpret_cast<const __m128i*>(round_keys);
   __m128i rk[11];
   for (int round = 0; round <= 10; ++round) {
     rk[round] = _mm_load_si128(schedule + round);
   }
-  // Block k is counters[k] in its low 8 bytes and zeros above.
-  auto load = [&](size_t k) {
-    return _mm_xor_si128(_mm_loadl_epi64(reinterpret_cast<const __m128i*>(counters + k)), rk[0]);
-  };
   auto store = [&](size_t k, __m128i block) {
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(out_words + 2 * k), block);
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(out + 16 * k), block);
   };
   size_t k = 0;
   for (; k + kLanes <= n; k += kLanes) {
     // Fully unrolled lanes keep b[] in registers; a lane loop the compiler
-    // leaves rolled would round-trip every block through the stack.
+    // leaves rolled would round-trip every block through the stack. All 8
+    // loads precede the first store, so in-place use is safe.
     __m128i b[kLanes];
 #pragma GCC unroll 8
     for (size_t j = 0; j < kLanes; ++j) {
-      b[j] = load(k + j);
+      b[j] = _mm_xor_si128(load(k + j), rk[0]);
     }
     for (int round = 1; round < 10; ++round) {
 #pragma GCC unroll 8
@@ -165,24 +156,33 @@ void Aes128::EncryptCountersHardware(const uint64_t* counters, size_t n,
     }
   }
   for (; k < n; ++k) {
-    __m128i b = load(k);
+    __m128i b = _mm_xor_si128(load(k), rk[0]);
     for (int round = 1; round < 10; ++round) {
       b = _mm_aesenc_si128(b, rk[round]);
     }
     store(k, _mm_aesenclast_si128(b, rk[10]));
   }
 }
-#else
-void Aes128::EncryptBlockHardware(const uint8_t in[16], uint8_t out[16]) const {
-  EncryptBlockPortable(in, out);
-}
+
+}  // namespace
 #endif
 
 void Aes128::EncryptBlock(const uint8_t in[16], uint8_t out[16]) const {
+  EncryptBlocks(in, 1, out);
+}
+
+void Aes128::EncryptBlocks(const uint8_t* in, size_t n, uint8_t* out) const {
+#if defined(SEABED_HAS_AESNI_BUILD)
   if (use_hardware_) {
-    EncryptBlockHardware(in, out);
-  } else {
-    EncryptBlockPortable(in, out);
+    EncryptPipelined(
+        round_keys_.data(), n,
+        [in](size_t k) { return _mm_loadu_si128(reinterpret_cast<const __m128i*>(in + 16 * k)); },
+        out);
+    return;
+  }
+#endif
+  for (size_t k = 0; k < n; ++k) {
+    EncryptBlockPortable(in + 16 * k, out + 16 * k);
   }
 }
 
@@ -191,18 +191,23 @@ void Aes128::EncryptCounter(uint64_t counter, uint64_t out_words[2]) const {
 }
 
 void Aes128::EncryptCounters(const uint64_t* counters, size_t n, uint64_t* out_words) const {
+  uint8_t* out = reinterpret_cast<uint8_t*>(out_words);
 #if defined(SEABED_HAS_AESNI_BUILD)
   if (use_hardware_) {
-    EncryptCountersHardware(counters, n, out_words);
+    // Block k is counters[k] in its low 8 bytes and zeros above.
+    EncryptPipelined(
+        round_keys_.data(), n,
+        [counters](size_t k) {
+          return _mm_loadl_epi64(reinterpret_cast<const __m128i*>(counters + k));
+        },
+        out);
     return;
   }
 #endif
   for (size_t k = 0; k < n; ++k) {
     uint8_t block[16] = {};
     std::memcpy(block, &counters[k], 8);
-    uint8_t cipher[16];
-    EncryptBlockPortable(block, cipher);
-    std::memcpy(out_words + 2 * k, cipher, 16);
+    EncryptBlockPortable(block, out + 16 * k);
   }
 }
 

@@ -37,16 +37,23 @@ class Aes128 {
   // Encrypts one 16-byte block: out = AES128_k(in). In-place use is allowed.
   void EncryptBlock(const uint8_t in[16], uint8_t out[16]) const;
 
+  // Encrypts n independent 16-byte blocks: block k is in[16k, 16k + 16) and
+  // its ciphertext goes to out[16k, 16k + 16). `out` may equal `in` (in
+  // place) but must not otherwise overlap it. The hardware path keeps 8
+  // blocks in flight, so the AES-NI pipeline latency is paid once per 8
+  // blocks instead of once per block (the multi-block technique of Intel's
+  // AES-NI white paper). This is the kernel behind the upload path (ORE,
+  // ASHE, DET) and ASHE decryption.
+  void EncryptBlocks(const uint8_t* in, size_t n, uint8_t* out) const;
+
   // Convenience: encrypts the 128-bit block (hi||lo) and returns the low and
   // high 64-bit words of the ciphertext. This is the building block of the
   // batched PRF (one AES call yields two 64-bit pseudo-random words).
   void EncryptCounter(uint64_t counter, uint64_t out_words[2]) const;
 
   // Batched EncryptCounter: out_words[2k], out_words[2k + 1] receive the
-  // words of counters[k] for k < n. The hardware path keeps 8 independent
-  // blocks in flight, so the AES-NI pipeline latency is paid once per 8
-  // blocks instead of once per block (the multi-block technique of Intel's
-  // AES-NI white paper). This is the kernel behind ASHE decryption.
+  // words of counters[k] for k < n. Runs through the same 8-lane pipeline as
+  // EncryptBlocks, loading each counter straight into its block.
   void EncryptCounters(const uint64_t* counters, size_t n, uint64_t* out_words) const;
 
   // True when this instance uses the AES-NI hardware path.
@@ -57,8 +64,6 @@ class Aes128 {
 
  private:
   void EncryptBlockPortable(const uint8_t in[16], uint8_t out[16]) const;
-  void EncryptBlockHardware(const uint8_t in[16], uint8_t out[16]) const;
-  void EncryptCountersHardware(const uint64_t* counters, size_t n, uint64_t* out_words) const;
 
   // 11 round keys, 16 bytes each.
   alignas(16) std::array<uint8_t, 176> round_keys_{};

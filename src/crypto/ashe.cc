@@ -13,6 +13,21 @@ AsheCiphertext Ashe::Encrypt(uint64_t m, uint64_t id) const {
   return ct;
 }
 
+void Ashe::EncryptCells(const uint64_t* m, size_t n, uint64_t first_id, uint64_t* out) const {
+  SEABED_CHECK(first_id >= 1);
+  // A chunk of kChunk cells needs kChunk + 1 PRF values; consecutive chunks
+  // share the endpoint between them.
+  constexpr size_t kChunk = Prf::kMaxBatch - 1;
+  uint64_t f[Prf::kMaxBatch];
+  for (size_t start = 0; start < n; start += kChunk) {
+    const size_t len = std::min(kChunk, n - start);
+    prf_.EvalRange(first_id + start - 1, len + 1, f);
+    for (size_t k = 0; k < len; ++k) {
+      out[start + k] = m[start + k] - (f[k + 1] - f[k]);
+    }
+  }
+}
+
 uint64_t Ashe::Decrypt(const AsheCiphertext& ct) const {
   // The lo-1 / hi endpoints of kChunk runs go through the PRF as one batch,
   // which keeps the AES pipeline full (Aes128::EncryptCounters).

@@ -43,8 +43,14 @@ class Ashe {
 
   // Encrypts `m` under identifier `id` (id >= 1). Returns only the group
   // element; the identifier is implicit (stored columnar, ids are the row
-  // numbers). This is the hot path used during upload.
+  // numbers). The upload path encrypts whole runs with EncryptCells.
   uint64_t EncryptCell(uint64_t m, uint64_t id) const { return m - prf_.Delta(id); }
+
+  // Run encrypt: out[k] = EncryptCell(m[k], first_id + k) for k < n
+  // (first_id >= 1). F_k is evaluated over [first_id - 1, first_id + n - 1]
+  // through Prf::EvalRange, 127 cells per batched AES call, so a cell costs
+  // about half an AES block. `out` may equal `m`.
+  void EncryptCells(const uint64_t* m, size_t n, uint64_t first_id, uint64_t* out) const;
 
   // Full ciphertext (group element + identifier multiset).
   AsheCiphertext Encrypt(uint64_t m, uint64_t id) const;

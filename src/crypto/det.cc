@@ -1,30 +1,60 @@
 #include "src/crypto/det.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace seabed {
 
-uint32_t DetInt::RoundF(uint32_t half, uint32_t round) const {
-  uint8_t block[16] = {};
+void DetInt::RoundBlock(uint32_t half, uint32_t round, uint8_t block[16]) {
+  std::memset(block, 0, 16);
   std::memcpy(block, &half, 4);
   std::memcpy(block + 4, &round, 4);
   block[8] = 0xf5;  // domain separation from the PRF / token uses
-  uint8_t out[16];
-  aes_.EncryptBlock(block, out);
+}
+
+uint32_t DetInt::RoundF(uint32_t half, uint32_t round) const {
+  uint8_t block[16];
+  RoundBlock(half, round, block);
+  aes_.EncryptBlock(block, block);
   uint32_t result = 0;
-  std::memcpy(&result, out, 4);
+  std::memcpy(&result, block, 4);
   return result;
 }
 
 uint64_t DetInt::Encrypt(uint64_t plaintext) const {
-  uint32_t left = static_cast<uint32_t>(plaintext >> 32);
-  uint32_t right = static_cast<uint32_t>(plaintext);
-  for (uint32_t round = 0; round < 4; ++round) {
-    const uint32_t next_left = right;
-    right = left ^ RoundF(right, round);
-    left = next_left;
+  uint64_t out = 0;
+  Encrypt(&plaintext, 1, &out);
+  return out;
+}
+
+void DetInt::Encrypt(const uint64_t* plaintexts, size_t n, uint64_t* out) const {
+  constexpr size_t kChunk = 64;
+  uint32_t left[kChunk];
+  uint32_t right[kChunk];
+  uint8_t blocks[16 * kChunk];
+  for (size_t start = 0; start < n; start += kChunk) {
+    const size_t len = std::min(kChunk, n - start);
+    for (size_t k = 0; k < len; ++k) {
+      left[k] = static_cast<uint32_t>(plaintexts[start + k] >> 32);
+      right[k] = static_cast<uint32_t>(plaintexts[start + k]);
+    }
+    for (uint32_t round = 0; round < 4; ++round) {
+      for (size_t k = 0; k < len; ++k) {
+        RoundBlock(right[k], round, blocks + 16 * k);
+      }
+      aes_.EncryptBlocks(blocks, len, blocks);
+      for (size_t k = 0; k < len; ++k) {
+        uint32_t f = 0;
+        std::memcpy(&f, blocks + 16 * k, 4);
+        const uint32_t next_left = right[k];
+        right[k] = left[k] ^ f;
+        left[k] = next_left;
+      }
+    }
+    for (size_t k = 0; k < len; ++k) {
+      out[start + k] = (static_cast<uint64_t>(left[k]) << 32) | right[k];
+    }
   }
-  return (static_cast<uint64_t>(left) << 32) | right;
 }
 
 uint64_t DetInt::Decrypt(uint64_t ciphertext) const {

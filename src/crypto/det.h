@@ -19,6 +19,7 @@
 #ifndef SEABED_SRC_CRYPTO_DET_H_
 #define SEABED_SRC_CRYPTO_DET_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -33,12 +34,19 @@ class DetInt {
   // Deterministic, invertible encryption of a 64-bit value.
   uint64_t Encrypt(uint64_t plaintext) const;
 
+  // Batched Encrypt: out[k] = Encrypt(plaintexts[k]) for k < n. Each Feistel
+  // round runs all rows of a chunk through the AES pipeline at once. `out`
+  // may equal `plaintexts`.
+  void Encrypt(const uint64_t* plaintexts, size_t n, uint64_t* out) const;
+
   // Inverse of Encrypt.
   uint64_t Decrypt(uint64_t ciphertext) const;
 
  private:
   // Feistel round function: AES(round || half) truncated to 32 bits.
   uint32_t RoundF(uint32_t half, uint32_t round) const;
+  // The AES input block of RoundF(half, round).
+  static void RoundBlock(uint32_t half, uint32_t round, uint8_t block[16]);
 
   Aes128 aes_;
 };

@@ -5,20 +5,23 @@
 namespace seabed {
 
 OreCiphertext Ore::Encrypt(uint64_t m) const {
-  OreCiphertext ct;
-  uint64_t prefix = 0;  // b_1 ... b_{i-1} left-aligned, zero-padded
+  // All 64 PRF inputs are known once m is: block i is (index, domain tag
+  // 0x0e, prefix b_1 ... b_{i-1} left-aligned and zero-padded). They go
+  // through the AES pipeline as one batch.
+  uint8_t blocks[64 * 16] = {};
   for (int i = 0; i < 64; ++i) {
-    const uint8_t bit = static_cast<uint8_t>((m >> (63 - i)) & 1);
-    // PRF input: (index, prefix) with domain separation.
-    uint8_t block[16] = {};
+    const uint64_t prefix = i == 0 ? 0 : m & (~uint64_t{0} << (64 - i));
+    uint8_t* block = blocks + 16 * i;
     block[0] = static_cast<uint8_t>(i);
     block[1] = 0x0e;  // domain tag: ORE
     std::memcpy(block + 2, &prefix, 8);
-    uint8_t out[16];
-    aes_.EncryptBlock(block, out);
-    const uint8_t f_mod3 = static_cast<uint8_t>(out[0] % 3);
+  }
+  aes_.EncryptBlocks(blocks, 64, blocks);
+  OreCiphertext ct;
+  for (int i = 0; i < 64; ++i) {
+    const uint8_t bit = static_cast<uint8_t>((m >> (63 - i)) & 1);
+    const uint8_t f_mod3 = static_cast<uint8_t>(blocks[16 * i] % 3);
     ct.SetU(i, static_cast<uint8_t>((f_mod3 + bit) % 3));
-    prefix |= static_cast<uint64_t>(bit) << (63 - i);
   }
   return ct;
 }

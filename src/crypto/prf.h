@@ -5,8 +5,9 @@
 // with AES-128 in counter mode. Section 4.3's batching optimization is
 // implemented here: one AES call on block (i >> 1) yields two 64-bit
 // pseudo-random words, covering identifiers 2j and 2j+1. Sequential row IDs
-// therefore cost ~0.5 AES invocations per encryption, and a tiny one-entry
-// cache makes Delta(i) = F(i) - F(i-1) of consecutive IDs nearly free.
+// therefore cost ~0.5 AES invocations per encryption when evaluated as a
+// range (EvalRange, the upload path). Prf holds no mutable state, so one
+// instance may serve concurrent callers.
 #ifndef SEABED_SRC_CRYPTO_PRF_H_
 #define SEABED_SRC_CRYPTO_PRF_H_
 
@@ -36,17 +37,18 @@ class Prf {
   static constexpr size_t kMaxBatch = 128;
 
   // out[i] = F_k(ids[i]) for i < n <= kMaxBatch, through one batched AES
-  // call (Aes128::EncryptCounters). Unlike Eval this touches no cache, so
-  // one Prf may serve concurrent callers. `out` must not alias `ids`.
+  // call (Aes128::EncryptCounters). `out` must not alias `ids`.
   void EvalBatch(const uint64_t* ids, size_t n, uint64_t* out) const;
+
+  // out[k] = F_k(first + k) for k < n <= kMaxBatch. Consecutive ids share
+  // AES blocks, so this is one batched call over ceil((n + 1) / 2) blocks at
+  // most.
+  void EvalRange(uint64_t first, size_t n, uint64_t* out) const;
 
   bool using_hardware() const { return aes_.using_hardware(); }
 
  private:
   Aes128 aes_;
-  // One-block cache: both words of the most recently evaluated AES block.
-  mutable uint64_t cached_block_ = ~uint64_t{0};
-  mutable uint64_t cached_words_[2] = {0, 0};
 };
 
 }  // namespace seabed

@@ -103,6 +103,10 @@ class AsheColumn : public Column {
 
   uint64_t Get(size_t row) const { return cells_[row]; }
   void Append(uint64_t cipher) { cells_.push_back(cipher); }
+  void Append(std::span<const uint64_t> ciphers) {
+    cells_.insert(cells_.end(), ciphers.begin(), ciphers.end());
+  }
+  void Reserve(size_t rows) { cells_.reserve(rows); }
 
   // Contiguous cell span for batched ASHE accumulation over a selection.
   std::span<const uint64_t> cells() const { return cells_; }
@@ -120,6 +124,10 @@ class DetColumn : public Column {
 
   uint64_t Get(size_t row) const { return tokens_[row]; }
   void Append(uint64_t token) { tokens_.push_back(token); }
+  void Append(std::span<const uint64_t> tokens) {
+    tokens_.insert(tokens_.end(), tokens.begin(), tokens.end());
+  }
+  void Reserve(size_t rows) { tokens_.reserve(rows); }
 
   // Contiguous token span for the SIMD equality kernel.
   std::span<const uint64_t> tokens() const { return tokens_; }
@@ -136,6 +144,7 @@ class OreColumn : public Column {
 
   const OreCiphertext& Get(size_t row) const { return cells_[row]; }
   void Append(const OreCiphertext& ct) { cells_.push_back(ct); }
+  void Reserve(size_t rows) { cells_.reserve(rows); }
 
   // Contiguous ciphertext span for the vectorized ORE comparison kernel.
   std::span<const OreCiphertext> cells() const { return cells_; }

@@ -36,6 +36,10 @@ struct EncryptedDatabase {
   // DET column name -> underlying plaintext type (int DET is invertible, so
   // it has no dictionary).
   std::map<std::string, ColumnType> det_value_types;
+  // Enhanced-SPLASHE DET column name -> (other value -> cells carrying its
+  // token). Encrypt sets and AppendRows updates it, so an append balances
+  // its dummy cells without rescanning the column.
+  std::map<std::string, std::map<std::string, uint64_t>> splashe_counts;
 };
 
 // Downgrades a Seabed plan to what a CryptDB/Monomi-style baseline supports:
@@ -46,7 +50,8 @@ class Encryptor {
  public:
   explicit Encryptor(const ClientKeys& keys) : keys_(keys) {}
 
-  // Encrypts `plain` according to `plan`. Multi-threaded per column family.
+  // Encrypts `plain` according to `plan`, on the calling thread. Every bulk
+  // AES call goes through the multi-block kernel (Aes128::EncryptBlocks).
   EncryptedDatabase Encrypt(const Table& plain, const PlainSchema& schema,
                             const EncryptionPlan& plan) const;
 

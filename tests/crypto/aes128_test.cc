@@ -154,6 +154,40 @@ TEST(Aes128Test, BatchedHardwareMatchesPortable) {
   EXPECT_EQ(a, b);
 }
 
+// The multi-block kernel must equal one EncryptBlock per block, on both
+// paths, for every length through the 8-lane loop and its tail (0..65), and
+// in place.
+TEST(Aes128Test, MultiBlockMatchesPerBlock) {
+  const AesKey key = AesKey::FromSeed(80);
+  const Aes128 portable(key, /*force_portable=*/true);
+  for (const bool force_portable : {false, true}) {
+    const Aes128 aes(key, force_portable);
+    Rng rng(force_portable ? 11 : 10);
+    for (size_t n = 0; n <= 65; ++n) {
+      std::vector<uint8_t> in(16 * n);
+      for (auto& b : in) {
+        b = static_cast<uint8_t>(rng.Next());
+      }
+      std::vector<uint8_t> batched(16 * n + 16, 0xab);  // +16: no overrun
+      aes.EncryptBlocks(in.data(), n, batched.data());
+      std::vector<uint8_t> in_place = in;
+      aes.EncryptBlocks(in_place.data(), n, in_place.data());
+      for (size_t k = 0; k < n; ++k) {
+        uint8_t one[16];
+        aes.EncryptBlock(in.data() + 16 * k, one);
+        uint8_t reference[16];
+        portable.EncryptBlock(in.data() + 16 * k, reference);
+        EXPECT_EQ(ToHex(batched.data() + 16 * k, 16), ToHex(one, 16)) << "n=" << n << " k=" << k;
+        EXPECT_EQ(ToHex(one, 16), ToHex(reference, 16)) << "n=" << n << " k=" << k;
+        EXPECT_EQ(ToHex(in_place.data() + 16 * k, 16), ToHex(one, 16)) << "n=" << n;
+      }
+      for (size_t b = 16 * n; b < batched.size(); ++b) {
+        EXPECT_EQ(batched[b], 0xab) << "n=" << n;
+      }
+    }
+  }
+}
+
 TEST(Aes128Test, KeyFromSeedIsStable) {
   const AesKey k1 = AesKey::FromSeed(99);
   const AesKey k2 = AesKey::FromSeed(99);

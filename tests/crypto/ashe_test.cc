@@ -26,6 +26,37 @@ TEST(AsheTest, CellRoundTrip) {
   }
 }
 
+// The run encrypt must equal per-cell EncryptCell around its 127-cell chunk
+// boundary, from the first identifier and from a shard's base identifier
+// (1 + s * 2^40), and from an even one (the PRF pairs ids into AES blocks).
+TEST(AsheTest, EncryptCellsMatchesPerCell) {
+  const Ashe ashe(AesKey::FromSeed(13));
+  const Prf prf(AesKey::FromSeed(13));  // Ashe's PRF, evaluated id by id
+  Rng rng(13);
+  for (const uint64_t first_id : {uint64_t{1}, uint64_t{2}, 1 + (uint64_t{3} << 40)}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{126}, size_t{127}, size_t{128},
+                           size_t{1000}}) {
+      std::vector<uint64_t> m(n);
+      for (auto& v : m) {
+        v = rng.Next();
+      }
+      std::vector<uint64_t> out(n + 1, 0xfeedULL);  // +1: no overrun
+      ashe.EncryptCells(m.data(), n, first_id, out.data());
+      for (size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(out[k], ashe.EncryptCell(m[k], first_id + k))
+            << "first_id=" << first_id << " n=" << n << " k=" << k;
+        const uint64_t ids[2] = {first_id + k - 1, first_id + k};
+        uint64_t f[2];
+        prf.EvalBatch(ids, 2, f);
+        EXPECT_EQ(out[k], m[k] - (f[1] - f[0])) << "first_id=" << first_id << " k=" << k;
+      }
+      EXPECT_EQ(out[n], 0xfeedULL);
+      ashe.EncryptCells(m.data(), n, first_id, m.data());  // in place
+      EXPECT_EQ(std::vector<uint64_t>(out.begin(), out.begin() + n), m);
+    }
+  }
+}
+
 TEST(AsheTest, CiphertextLooksUnlikePlaintext) {
   const Ashe ashe(AesKey::FromSeed(3));
   int equal = 0;

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <set>
+#include <vector>
+
+#include "src/common/rng.h"
 
 namespace seabed {
 namespace {
@@ -11,6 +15,50 @@ TEST(DetIntTest, RoundTrip) {
   const DetInt det(AesKey::FromSeed(1));
   for (uint64_t m : {0ull, 1ull, 42ull, 1234567890123ull, ~0ull}) {
     EXPECT_EQ(det.Decrypt(det.Encrypt(m)), m) << m;
+  }
+}
+
+// The Feistel network as first written: one single-block AES call per
+// round and value.
+uint64_t SerialReferenceEncrypt(const AesKey& key, uint64_t plaintext) {
+  const Aes128 aes(key);
+  uint32_t left = static_cast<uint32_t>(plaintext >> 32);
+  uint32_t right = static_cast<uint32_t>(plaintext);
+  for (uint32_t round = 0; round < 4; ++round) {
+    uint8_t block[16] = {};
+    std::memcpy(block, &right, 4);
+    std::memcpy(block + 4, &round, 4);
+    block[8] = 0xf5;
+    uint8_t out[16];
+    aes.EncryptBlock(block, out);
+    uint32_t f = 0;
+    std::memcpy(&f, out, 4);
+    const uint32_t next_left = right;
+    right = left ^ f;
+    left = next_left;
+  }
+  return (static_cast<uint64_t>(left) << 32) | right;
+}
+
+TEST(DetIntTest, BatchMatchesSingleAndSerialReference) {
+  const AesKey key = AesKey::FromSeed(14);
+  const DetInt det(key);
+  Rng rng(14);
+  for (const size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{8}, size_t{9}, size_t{63},
+                         size_t{64}, size_t{65}, size_t{200}}) {
+    std::vector<uint64_t> in(n);
+    for (size_t k = 0; k < n; ++k) {
+      in[k] = k % 4 == 0 ? ~uint64_t{0} - k : rng.Next();
+    }
+    std::vector<uint64_t> out(n);
+    det.Encrypt(in.data(), n, out.data());
+    for (size_t k = 0; k < n; ++k) {
+      EXPECT_EQ(out[k], det.Encrypt(in[k])) << "n=" << n << " k=" << k;
+      EXPECT_EQ(out[k], SerialReferenceEncrypt(key, in[k])) << "n=" << n << " k=" << k;
+      EXPECT_EQ(det.Decrypt(out[k]), in[k]);
+    }
+    det.Encrypt(in.data(), n, in.data());  // in place
+    EXPECT_EQ(in, out);
   }
 }
 

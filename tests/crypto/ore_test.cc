@@ -2,12 +2,49 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <vector>
+
 #include "src/common/rng.h"
 
 namespace seabed {
 namespace {
 
 int Sign(uint64_t a, uint64_t b) { return a < b ? -1 : (a > b ? 1 : 0); }
+
+// The scheme as first written: one single-block AES call per bit, the
+// prefix grown as the bits are read.
+OreCiphertext SerialReferenceEncrypt(const AesKey& key, uint64_t m) {
+  const Aes128 aes(key);
+  OreCiphertext ct;
+  uint64_t prefix = 0;
+  for (int i = 0; i < 64; ++i) {
+    const uint8_t bit = static_cast<uint8_t>((m >> (63 - i)) & 1);
+    uint8_t block[16] = {};
+    block[0] = static_cast<uint8_t>(i);
+    block[1] = 0x0e;
+    std::memcpy(block + 2, &prefix, 8);
+    uint8_t out[16];
+    aes.EncryptBlock(block, out);
+    ct.SetU(i, static_cast<uint8_t>((out[0] % 3 + bit) % 3));
+    prefix |= static_cast<uint64_t>(bit) << (63 - i);
+  }
+  return ct;
+}
+
+TEST(OreTest, BatchedEncryptMatchesSerialReference) {
+  const AesKey key = AesKey::FromSeed(12);
+  const Ore ore(key);
+  std::vector<uint64_t> values = {0, 1, 2, 3, uint64_t{1} << 63, (uint64_t{1} << 63) - 1,
+                                  ~uint64_t{0}, ~uint64_t{0} - 1};
+  Rng rng(12);
+  for (int i = 0; i < 300; ++i) {
+    values.push_back(rng.Next() >> rng.Below(64));
+  }
+  for (const uint64_t m : values) {
+    EXPECT_EQ(ore.Encrypt(m), SerialReferenceEncrypt(key, m)) << m;
+  }
+}
 
 TEST(OreTest, EqualPlaintextsCompareEqual) {
   const Ore ore(AesKey::FromSeed(1));

@@ -61,12 +61,38 @@ TEST(PrfTest, KeysAreIndependent) {
   EXPECT_EQ(same, 0);
 }
 
-TEST(PrfTest, CacheSurvivesNonSequentialAccess) {
+TEST(PrfTest, EvalIsIndependentOfAccessOrder) {
   const Prf prf(AesKey::FromSeed(8));
   const uint64_t direct = prf.Eval(500);
   prf.Eval(1);
   prf.Eval(10000);
   EXPECT_EQ(prf.Eval(500), direct);
+}
+
+// EvalRange shares AES blocks between adjacent ids; EvalBatch encrypts one
+// block per id. They must agree for odd and even starts and every length
+// up to kMaxBatch.
+TEST(PrfTest, EvalRangeMatchesEvalBatch) {
+  const Prf prf(AesKey::FromSeed(9));
+  for (const uint64_t first : {uint64_t{0}, uint64_t{1}, uint64_t{2}, uint64_t{3},
+                               1 + (uint64_t{5} << 40), ~uint64_t{0} - 200}) {
+    for (const size_t n : {size_t{0}, size_t{1}, size_t{2}, size_t{3}, size_t{127},
+                           size_t{128}}) {
+      uint64_t ids[Prf::kMaxBatch];
+      for (size_t k = 0; k < n; ++k) {
+        ids[k] = first + k;
+      }
+      uint64_t expected[Prf::kMaxBatch];
+      prf.EvalBatch(ids, n, expected);
+      uint64_t got[Prf::kMaxBatch + 1];
+      got[n] = 0xfeedULL;  // no overrun
+      prf.EvalRange(first, n, got);
+      for (size_t k = 0; k < n; ++k) {
+        EXPECT_EQ(got[k], expected[k]) << "first=" << first << " n=" << n << " k=" << k;
+      }
+      EXPECT_EQ(got[n], 0xfeedULL);
+    }
+  }
 }
 
 }  // namespace

@@ -189,5 +189,125 @@ TEST(EncryptorTest, PaillierBaselineTableShape) {
   }
 }
 
+// Counts AppendRows would get by rescanning the equalized DET column: cells
+// per other value, read back through the dictionary.
+std::map<std::string, uint64_t> RecountOthers(const EncryptedDatabase& db,
+                                              const SplasheLayout& layout) {
+  std::map<std::string, uint64_t> counts;
+  for (const std::string& v : layout.other_values) {
+    counts[v] = 0;
+  }
+  const auto& dict = db.det_dictionaries.at(layout.DetColumn());
+  const auto* col = static_cast<const DetColumn*>(db.table->GetColumn(layout.DetColumn()).get());
+  for (size_t row = 0; row < col->RowCount(); ++row) {
+    const auto it = dict.find(col->Get(row));
+    if (it != dict.end() && counts.count(it->second)) {
+      ++counts[it->second];
+    }
+  }
+  return counts;
+}
+
+TEST(EncryptorTest, KeptSplasheCountsEqualRecountAcrossAppends) {
+  Fixture f;
+  const SplasheLayout* layout = f.plan.FindSplashe("country");
+  ASSERT_NE(layout, nullptr);
+  EXPECT_EQ(f.db.splashe_counts.at(layout->DetColumn()), RecountOthers(f.db, *layout));
+  const Encryptor encryptor(f.keys);
+  Rng rng(21);
+  const char* values[] = {"usa", "canada", "india", "chile", "iraq", "japan", "peru"};
+  for (const size_t batch : {1, 7, 250}) {
+    Table rows("emp");
+    auto country = std::make_shared<StringColumn>();
+    auto salary = std::make_shared<Int64Column>();
+    for (size_t i = 0; i < batch; ++i) {
+      country->Append(values[rng.Below(7)]);  // "peru" is in neither list
+      salary->Append(rng.Range(0, 1000));
+    }
+    rows.AddColumn("country", country);
+    rows.AddColumn("salary", salary);
+    encryptor.AppendRows(f.db, rows, f.schema);
+    EXPECT_EQ(f.db.splashe_counts.at(layout->DetColumn()), RecountOthers(f.db, *layout))
+        << "batch " << batch;
+  }
+}
+
+// A SPLASHE layout over an int dimension matches rows by decimal rendering:
+// "012", "+5" and "-0" match no row (12 and 0 are not splayed), and 99 is in
+// neither list.
+TEST(EncryptorTest, IntSplasheDimensionMatchesDecimalRendering) {
+  const ClientKeys keys = ClientKeys::FromSeed(6);
+  PlainSchema schema;
+  schema.table_name = "t";
+  schema.columns.push_back({"region", ColumnType::kInt64, true, std::nullopt});
+  schema.columns.push_back({"sales", ColumnType::kInt64, true, std::nullopt});
+  EncryptionPlan plan;
+  plan.table_name = "t";
+  plan.columns["region"].scheme = EncScheme::kSplasheEnhanced;
+  plan.columns["sales"].scheme = EncScheme::kAshe;
+  SplasheLayout layout;
+  layout.dimension = "region";
+  layout.enhanced = true;
+  layout.splayed_values = {"7", "-3", "012", "+5", "-0"};
+  layout.other_values = {"1", "2", "5", "12"};
+  layout.splayed_measures = {"sales"};
+  plan.splashe.push_back(layout);
+
+  const std::vector<int64_t> domain = {7, -3, 12, 0, 1, 2, 5, 99};
+  auto make_rows = [&](uint64_t seed, size_t n) {
+    Table t("t");
+    auto region = std::make_shared<Int64Column>();
+    auto sales = std::make_shared<Int64Column>();
+    Rng rng(seed);
+    for (size_t i = 0; i < n; ++i) {
+      region->Append(domain[rng.Below(domain.size())]);
+      sales->Append(rng.Range(-500, 500));
+    }
+    t.AddColumn("region", region);
+    t.AddColumn("sales", sales);
+    return t;
+  };
+  const Table first = make_rows(1, 400);
+  const Table second = make_rows(2, 90);
+  const Encryptor encryptor(keys);
+  EncryptedDatabase db = encryptor.Encrypt(first, schema, plan);
+  encryptor.AppendRows(db, second, schema);
+
+  // Both batches' plaintexts, in row order.
+  std::vector<int64_t> regions;
+  std::vector<int64_t> sales;
+  for (const Table* t : {&first, &second}) {
+    const auto& r = static_cast<const Int64Column*>(t->GetColumn("region").get())->values();
+    const auto& m = static_cast<const Int64Column*>(t->GetColumn("sales").get())->values();
+    regions.insert(regions.end(), r.begin(), r.end());
+    sales.insert(sales.end(), m.begin(), m.end());
+  }
+  auto cell = [&](const std::string& name, size_t row) {
+    const Ashe ashe(keys.DeriveColumnKey(ColumnKeyLabel("t", name)));
+    const auto* col = static_cast<const AsheColumn*>(db.table->GetColumn(name).get());
+    return ashe.DecryptCell(col->Get(row), col->IdOfRow(row));
+  };
+  const DetToken det(keys.DeriveColumnKey(ColumnKeyLabel("t", layout.DetColumn())));
+  const auto* det_col =
+      static_cast<const DetColumn*>(db.table->GetColumn(layout.DetColumn()).get());
+  ASSERT_EQ(db.table->NumRows(), regions.size());
+  for (size_t row = 0; row < regions.size(); ++row) {
+    const std::string text = std::to_string(regions[row]);
+    const bool splayed = layout.IsSplayedValue(text);
+    const auto m = static_cast<uint64_t>(sales[row]);
+    for (const std::string& v : layout.splayed_values) {
+      EXPECT_EQ(cell(layout.CountColumn(v), row), text == v ? 1u : 0u) << row << " " << v;
+      EXPECT_EQ(cell(SplasheLayout::MeasureColumn("sales", v), row), text == v ? m : 0u);
+    }
+    EXPECT_EQ(cell(layout.OthersCountColumn(), row), splayed ? 0u : 1u) << row;
+    EXPECT_EQ(cell(SplasheLayout::OthersMeasureColumn("sales"), row), splayed ? 0u : m);
+    if (!splayed) {
+      EXPECT_EQ(det_col->Get(row), det.Tag(text)) << row;
+    }
+  }
+  EXPECT_EQ(db.det_dictionaries.at(layout.DetColumn()).at(det.Tag("99")), "99");
+  EXPECT_EQ(db.splashe_counts.at(layout.DetColumn()), RecountOthers(db, layout));
+}
+
 }  // namespace
 }  // namespace seabed
